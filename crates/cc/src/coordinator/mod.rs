@@ -554,6 +554,12 @@ pub(crate) fn abort_attempt(
             Msg::AbortOuter { txn, unlocks },
         );
     }
+    // A two-region attempt logged a provisional `Decide` before it
+    // delegated; close it, or recovery must resolve it against the inner
+    // host's log on every restart. (A no-op on a volatile engine.)
+    if coord.inner_sent {
+        eng.wal_append(chiller_storage::wal::WalRecord::Abort { txn });
+    }
     let kind = coord.failed.expect("abort without failure");
     let name = eng.proc_name(&coord.input).to_owned();
     let slot = coord.slot;

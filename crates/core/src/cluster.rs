@@ -21,7 +21,7 @@ use chiller_sproc::Procedure;
 use chiller_storage::placement::{HashPlacement, Placement};
 use chiller_storage::schema::Schema;
 use chiller_storage::store::PartitionStore;
-use chiller_storage::wal::{read_checkpoint, StoreSnapshot, Wal, WalRecord, DEFAULT_FSYNC_BATCH};
+use chiller_storage::wal::{read_checkpoint, StoreSnapshot, Wal, WalReader, DEFAULT_FSYNC_BATCH};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -400,27 +400,27 @@ impl ClusterBuilder {
                     ))
                 })?;
                 let mut wals = Vec::with_capacity(self.nodes);
-                let mut logs = Vec::with_capacity(self.nodes);
+                let mut log_lens = Vec::with_capacity(self.nodes);
                 let mut snapshots = Vec::with_capacity(self.nodes);
                 for n in 0..self.nodes {
-                    let (wal, records) =
+                    let (wal, valid_len) =
                         Wal::open(&wal_path(&dir, n), fsync_batch).map_err(|e| {
                             ChillerError::Config(format!("cannot open WAL for node {n}: {e}"))
                         })?;
                     snapshots.push(read_checkpoint(&ckpt_path(&dir, n)));
                     wals.push(wal);
-                    logs.push(records);
+                    log_lens.push(valid_len);
                 }
                 Some(DurableSetup {
                     dir,
                     wals,
-                    logs,
+                    log_lens,
                     snapshots,
                 })
             }
         };
         let recovery_needed = durability.as_ref().is_some_and(|d| {
-            d.snapshots.iter().any(Option::is_some) || d.logs.iter().any(|l| !l.is_empty())
+            d.snapshots.iter().any(Option::is_some) || d.log_lens.iter().any(|&l| l > 0)
         });
 
         // With core pinning on the threaded backend, defer the initial
@@ -481,13 +481,21 @@ impl ClusterBuilder {
                     rep.checkpoints_restored += 1;
                 }
             }
+            let read_failed =
+                |e| ChillerError::Config(format!("cannot read the WALs back for recovery: {e}"));
+            let mut logs = (d.log_lens.iter().enumerate())
+                .map(|(n, &len)| WalReader::open(&wal_path(&d.dir, n), len))
+                .collect::<std::io::Result<Vec<_>>>()
+                .map_err(read_failed)?;
             crash::recover(
                 &mut primaries,
                 &mut replicas,
-                &d.logs,
+                &mut logs,
                 placement.as_ref(),
                 &mut rep,
-            );
+            )
+            .map_err(read_failed)?;
+            drop(logs);
             for (n, wal) in d.wals.iter_mut().enumerate() {
                 chiller_storage::wal::write_checkpoint(&ckpt_path(&d.dir, n), &primaries[n])
                     .map_err(|e| {
@@ -595,11 +603,11 @@ impl ClusterBuilder {
 }
 
 /// Per-node durability state assembled while building: open logs (with
-/// their surviving records decoded) and decoded checkpoints.
+/// the byte length of what survives in each) and decoded checkpoints.
 struct DurableSetup {
     dir: PathBuf,
     wals: Vec<Wal>,
-    logs: Vec<Vec<WalRecord>>,
+    log_lens: Vec<u64>,
     snapshots: Vec<Option<StoreSnapshot>>,
 }
 

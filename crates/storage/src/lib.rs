@@ -14,6 +14,11 @@
 //! * [`schema`] — table metadata and key-packing helpers.
 //! * [`wal`] — per-partition redo log, group commit, checkpoints (§15).
 
+// Lets the WAL unit tests include the record generators that the
+// integration suites share, which name this crate from outside.
+#[cfg(test)]
+extern crate self as chiller_storage;
+
 pub mod bucket;
 pub mod lock;
 pub mod placement;
@@ -27,6 +32,6 @@ pub use placement::{HashPlacement, LookupTable, Placement, RangePlacement};
 pub use schema::{KeyPacker, Schema, TableDef};
 pub use store::{PartitionStore, TableStore};
 pub use wal::{
-    DecideWrite, RedoOp, RedoWrite, StoreSnapshot, TableSnapshot, Wal, WalRecord, WalStats,
-    DEFAULT_FSYNC_BATCH,
+    DecideWrite, RedoOp, RedoWrite, StoreSnapshot, TableSnapshot, Wal, WalReader, WalRecord,
+    WalStats, DEFAULT_FSYNC_BATCH,
 };

@@ -239,14 +239,14 @@ impl PartitionStore {
     /// checkpoint that already contains a suffix of it (the crash window
     /// between checkpoint rename and log truncation) is therefore safe.
     /// Returns whether the write was applied.
-    pub fn apply_redo(&mut self, w: &RedoWrite) -> bool {
+    pub fn apply_redo(&mut self, w: RedoWrite) -> bool {
         if self.record_version(w.record) >= w.version {
             return false;
         }
-        match &w.op {
+        match w.op {
             // Insert degrades to write on replay: the duplicate-key check
             // already passed when the write committed pre-crash.
-            RedoOp::Put(row) | RedoOp::Insert(row) => self.write(w.record, row.clone()),
+            RedoOp::Put(row) | RedoOp::Insert(row) => self.write(w.record, row),
             RedoOp::Delete => {
                 // The record may already be gone (present in neither the
                 // checkpoint nor the store); the tombstone version still

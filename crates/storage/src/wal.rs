@@ -7,7 +7,7 @@
 //! over its payload so a torn tail — the normal state of a log after a
 //! crash — is detected and truncated on open rather than misparsed.
 //!
-//! Four record kinds cover the protocols' commit paths:
+//! Five record kinds cover the protocols' commit paths:
 //!
 //! * [`WalRecord::Redo`] — participant-side, appended when a committed
 //!   write-set is applied to the store. Carries the per-record version each
@@ -27,17 +27,22 @@
 //! * [`WalRecord::Ack`] — the coordinator acknowledged the commit to the
 //!   client (metrics/latency recorded). A `Decide` without an `Ack` is an
 //!   in-doubt transaction that recovery must resolve.
+//! * [`WalRecord::Abort`] — the coordinator gave up an attempt that had
+//!   already logged a provisional `Decide`. Closes the transaction so
+//!   recovery does not re-examine it.
 //!
 //! The frame layout is `[u32 len][u32 crc32][payload]`, little-endian. A
 //! record is valid iff the frame is complete, the CRC matches, and the
 //! payload decodes with nothing left over; the log's valid prefix ends at
-//! the first record that is not.
+//! the first record that is not. [`WalReader`] walks that prefix one frame
+//! at a time through a bounded buffer, which is how both [`Wal::open`] and
+//! recovery read a log: neither ever holds a decoded log in memory.
 
 use crate::store::PartitionStore;
 use chiller_common::ids::{PartitionId, RecordId, TableId, TxnId};
 use chiller_common::value::{Row, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Default number of commit-decision records batched per fsync. Override
@@ -159,9 +164,27 @@ pub enum WalRecord {
         /// Acknowledged transaction.
         txn: TxnId,
     },
+    /// Coordinator aborted an attempt after logging a provisional
+    /// `Decide` for it. Not a commit mark: losing it to a crash only means
+    /// recovery resolves the provisional decision the long way.
+    Abort {
+        /// Aborted transaction.
+        txn: TxnId,
+    },
 }
 
 impl WalRecord {
+    /// The transaction this record is about.
+    pub fn txn(&self) -> TxnId {
+        match self {
+            WalRecord::Redo { txn, .. }
+            | WalRecord::Decide { txn, .. }
+            | WalRecord::InnerCommit { txn }
+            | WalRecord::Ack { txn }
+            | WalRecord::Abort { txn } => *txn,
+        }
+    }
+
     /// Whether this record marks a commit decision — the unit group commit
     /// batches fsyncs over.
     pub fn is_commit_mark(&self) -> bool {
@@ -371,6 +394,10 @@ fn encode_payload(rec: &WalRecord, buf: &mut Vec<u8>) {
             buf.push(4);
             put_u64(buf, txn.0);
         }
+        WalRecord::Abort { txn } => {
+            buf.push(5);
+            put_u64(buf, txn.0);
+        }
     }
 }
 
@@ -426,6 +453,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
         4 => WalRecord::Ack {
             txn: TxnId(c.u64()?),
         },
+        5 => WalRecord::Abort {
+            txn: TxnId(c.u64()?),
+        },
         _ => return None,
     };
     // A record is only valid if the payload is fully consumed — trailing
@@ -437,13 +467,37 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     }
 }
 
-/// Encode one framed record (`[len][crc][payload]`) onto `buf`.
+/// Bytes of frame header: `[u32 len][u32 crc32]`.
+const FRAME_HEADER: usize = 8;
+
+/// Encode one framed record (`[len][crc][payload]`) onto `buf`. The
+/// payload is encoded in place behind a reserved header, which is then
+/// back-filled, so an append allocates nothing beyond `buf`'s own growth.
 pub fn encode_record(rec: &WalRecord, buf: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    encode_payload(rec, &mut payload);
-    put_u32(buf, payload.len() as u32);
-    put_u32(buf, crc32(&payload));
-    buf.extend_from_slice(&payload);
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    encode_payload(rec, buf);
+    let payload = start + FRAME_HEADER;
+    let len = (buf.len() - payload) as u32;
+    let crc = crc32(&buf[payload..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Split a frame header into payload length and CRC; `None` when the
+/// length is beyond what any encoder writes.
+fn frame_header(header: &[u8]) -> Option<(usize, u32)> {
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    (len <= MAX_FRAME_LEN).then_some((len as usize, crc))
+}
+
+/// Decode a payload whose frame claimed checksum `crc`.
+fn decode_checked(payload: &[u8], crc: u32) -> Option<WalRecord> {
+    if crc32(payload) != crc {
+        return None;
+    }
+    decode_payload(payload)
 }
 
 /// Decode a stream of framed records, stopping at the first frame that is
@@ -453,26 +507,163 @@ pub fn encode_record(rec: &WalRecord, buf: &mut Vec<u8>) {
 pub fn decode_stream(data: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
-        if data.len() - pos < 8 {
+    while data.len() - pos >= FRAME_HEADER {
+        let Some((len, crc)) = frame_header(&data[pos..]) else {
+            break;
+        };
+        let payload = pos + FRAME_HEADER;
+        if data.len() - payload < len {
             break;
         }
-        let len = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-        let crc = u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-        if len > MAX_FRAME_LEN || data.len() - pos - 8 < len as usize {
-            break;
-        }
-        let payload = &data[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            break;
-        }
-        match decode_payload(payload) {
+        match decode_checked(&data[payload..payload + len], crc) {
             Some(rec) => records.push(rec),
             None => break,
         }
-        pos += 8 + len as usize;
+        pos = payload + len;
     }
     (records, pos)
+}
+
+// ---------------------------------------------------------------------------
+// Streaming reader
+// ---------------------------------------------------------------------------
+
+/// Bytes asked of the source per read.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Walks a log's valid prefix one record at a time — the streaming
+/// counterpart of [`decode_stream`], with the same stopping rule and the
+/// same prefix length. Memory is one buffer of at most a frame
+/// (`MAX_FRAME_LEN` + header) plus one read chunk, however long the log.
+pub struct WalReader<R> {
+    src: R,
+    /// Bytes of the source this reader may consume, from its start.
+    limit: u64,
+    /// Source offset of the next byte to read into `buf`.
+    fetched: u64,
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
+    chunk: usize,
+    /// Offset of the next frame; once `done`, the valid prefix length.
+    pos: u64,
+    done: bool,
+}
+
+impl WalReader<File> {
+    /// Read the log at `path`, of which the first `len` bytes are in use.
+    pub fn open(path: &Path, len: u64) -> io::Result<Self> {
+        Ok(WalReader::new(File::open(path)?, len))
+    }
+}
+
+impl<R: Read> WalReader<R> {
+    /// Read at most `len` bytes of `src`, which must be positioned at the
+    /// log's first byte.
+    pub fn new(src: R, len: u64) -> Self {
+        Self::with_chunk(src, len, READ_CHUNK)
+    }
+
+    /// [`Self::new`] with an explicit read size (the result never depends
+    /// on it; the property suite checks that with sizes down to 1).
+    pub fn with_chunk(src: R, len: u64, chunk: usize) -> Self {
+        WalReader {
+            src,
+            limit: len,
+            fetched: 0,
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            chunk: chunk.max(1),
+            pos: 0,
+            done: false,
+        }
+    }
+
+    /// Offset of the next frame. After [`Self::next_record`] has returned
+    /// `None` this is the length of the valid prefix.
+    pub fn position(&self) -> u64 {
+        self.pos
+    }
+
+    /// The next record of the valid prefix, or `None` at its end: the
+    /// byte bound, or the first frame that is incomplete, fails its CRC,
+    /// or does not decode. `None` is sticky.
+    pub fn next_record(&mut self) -> io::Result<Option<WalRecord>> {
+        if self.done {
+            return Ok(None);
+        }
+        let rec = self.read_frame()?;
+        self.done = rec.is_none();
+        Ok(rec)
+    }
+
+    fn read_frame(&mut self) -> io::Result<Option<WalRecord>> {
+        if !self.fill(FRAME_HEADER)? {
+            return Ok(None);
+        }
+        let Some((len, crc)) = frame_header(&self.buf[self.head..]) else {
+            return Ok(None);
+        };
+        let frame = FRAME_HEADER + len;
+        if !self.fill(frame)? {
+            return Ok(None);
+        }
+        let payload = &self.buf[self.head + FRAME_HEADER..self.head + frame];
+        let rec = decode_checked(payload, crc);
+        if rec.is_some() {
+            self.head += frame;
+            self.pos += frame as u64;
+        }
+        Ok(rec)
+    }
+
+    /// Buffer at least `need` unconsumed bytes; `false` when the source
+    /// (or the byte bound) ends first.
+    fn fill(&mut self, need: usize) -> io::Result<bool> {
+        while self.tail - self.head < need {
+            let room = (self.limit - self.fetched).min(self.chunk as u64) as usize;
+            if room == 0 {
+                return Ok(false);
+            }
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+            }
+            // Grown by what is about to arrive, never by what a header
+            // claims: a corrupt length in a torn tail allocates nothing.
+            if self.buf.len() < self.tail + room {
+                self.buf.reserve_exact(self.tail + room - self.buf.len());
+                self.buf.resize(self.tail + room, 0);
+            }
+            match self.src.read(&mut self.buf[self.tail..self.tail + room]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.tail += n;
+                    self.fetched += n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+}
+
+impl<R: Read + Seek> WalReader<R> {
+    /// Decode the single frame at `offset` (a position an earlier scan
+    /// reported). Repositions the reader there; `None` if no valid frame
+    /// starts at that offset.
+    pub fn record_at(&mut self, offset: u64) -> io::Result<Option<WalRecord>> {
+        self.src.seek(SeekFrom::Start(offset))?;
+        self.fetched = offset;
+        self.pos = offset;
+        self.head = 0;
+        self.tail = 0;
+        self.read_frame()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -527,27 +718,28 @@ impl std::fmt::Debug for Wal {
 impl Wal {
     /// Open (or create) the log at `path`, scan its valid prefix, truncate
     /// any torn tail, and return the writer positioned at the end plus the
-    /// recovered records.
-    pub fn open(path: &Path, fsync_batch: u64) -> std::io::Result<(Wal, Vec<WalRecord>)> {
+    /// valid prefix's length in bytes. The scan streams: the records
+    /// themselves are for a [`WalReader`] over that length to fetch.
+    pub fn open(path: &Path, fsync_batch: u64) -> io::Result<(Wal, u64)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)?;
-        let (records, valid_len) = decode_stream(&data);
-        let mut stats = WalStats {
-            recovered_records: records.len() as u64,
-            ..WalStats::default()
-        };
-        if valid_len < data.len() {
-            stats.torn_bytes_dropped = (data.len() - valid_len) as u64;
-            file.set_len(valid_len as u64)?;
+        let file_len = file.metadata()?.len();
+        let mut reader = WalReader::new(&mut file, file_len);
+        let mut stats = WalStats::default();
+        while reader.next_record()?.is_some() {
+            stats.recovered_records += 1;
+        }
+        let valid_len = reader.position();
+        if valid_len < file_len {
+            stats.torn_bytes_dropped = file_len - valid_len;
+            file.set_len(valid_len)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(valid_len as u64))?;
+        file.seek(SeekFrom::Start(valid_len))?;
         Ok((
             Wal {
                 file,
@@ -557,7 +749,7 @@ impl Wal {
                 fsync_batch: fsync_batch.max(1),
                 stats,
             },
-            records,
+            valid_len,
         ))
     }
 
@@ -771,9 +963,14 @@ pub fn read_checkpoint(path: &Path) -> Option<StoreSnapshot> {
 }
 
 #[cfg(test)]
+#[path = "../tests/gen/mod.rs"]
+mod gen;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use chiller_common::ids::NodeId;
+    use proptest::prelude::*;
 
     fn txn(seq: u64) -> TxnId {
         TxnId::new(NodeId(1), seq)
@@ -812,7 +1009,40 @@ mod tests {
                 }],
             },
             WalRecord::Ack { txn: txn(1) },
+            WalRecord::Abort { txn: txn(2) },
         ]
+    }
+
+    /// Everything a reader over `path` yields.
+    fn read_all(path: &Path, len: u64) -> Vec<WalRecord> {
+        let mut reader = WalReader::open(path, len).unwrap();
+        std::iter::from_fn(|| reader.next_record().unwrap()).collect()
+    }
+
+    /// The encoder before it wrote in place: payload into a fresh buffer,
+    /// then header and payload copied out.
+    fn encode_record_copying(rec: &WalRecord, buf: &mut Vec<u8>) {
+        let mut payload = Vec::new();
+        encode_payload(rec, &mut payload);
+        put_u32(buf, payload.len() as u32);
+        put_u32(buf, crc32(&payload));
+        buf.extend_from_slice(&payload);
+    }
+
+    proptest! {
+        /// Encoding in place changed no byte of the format, wherever in
+        /// the append buffer a frame lands.
+        #[test]
+        fn in_place_encoding_is_byte_identical(
+            records in prop::collection::vec(super::gen::wal_record_strategy(), 1..20),
+        ) {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for rec in &records {
+                encode_record(rec, &mut got);
+                encode_record_copying(rec, &mut want);
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 
     #[test]
@@ -878,7 +1108,7 @@ mod tests {
         let recs = sample_records();
         {
             let (mut wal, recovered) = Wal::open(&path, 1).unwrap();
-            assert!(recovered.is_empty());
+            assert_eq!(recovered, 0);
             for r in &recs {
                 wal.append(r);
             }
@@ -886,7 +1116,7 @@ mod tests {
             assert!(wal.stats.fsyncs >= 1);
         }
         let (wal, recovered) = Wal::open(&path, 1).unwrap();
-        assert_eq!(recovered, recs);
+        assert_eq!(read_all(&path, recovered), recs);
         assert_eq!(wal.stats.recovered_records, recs.len() as u64);
         assert_eq!(wal.stats.torn_bytes_dropped, 0);
         std::fs::remove_file(&path).unwrap();
@@ -907,12 +1137,13 @@ mod tests {
         // Simulate a torn write: drop the last 3 bytes.
         std::fs::write(&path, &buf[..buf.len() - 3]).unwrap();
         let (wal, recovered) = Wal::open(&path, 4).unwrap();
-        assert_eq!(recovered.len(), recs.len() - 1);
+        assert_eq!(wal.stats.recovered_records, recs.len() as u64 - 1);
         assert!(wal.stats.torn_bytes_dropped > 0);
         drop(wal);
         // The tail was truncated on disk, so a second open sees a clean log.
         let (wal2, recovered2) = Wal::open(&path, 4).unwrap();
-        assert_eq!(recovered2.len(), recs.len() - 1);
+        assert_eq!(recovered2, recovered);
+        assert_eq!(read_all(&path, recovered2), recs[..recs.len() - 1]);
         assert_eq!(wal2.stats.torn_bytes_dropped, 0);
         std::fs::remove_file(&path).unwrap();
     }
@@ -959,7 +1190,7 @@ mod tests {
         wal.truncate();
         drop(wal);
         let (_, recovered) = Wal::open(&path, 1).unwrap();
-        assert!(recovered.is_empty());
+        assert_eq!(recovered, 0);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -6,91 +6,13 @@
 //! recovers its valid prefix, reports the dropped tail, and accepts
 //! appends at the truncation point.
 
-use chiller_common::ids::{NodeId, PartitionId, RecordId, TableId, TxnId};
-use chiller_common::value::Value;
-use chiller_storage::wal::{
-    decode_stream, encode_record, DecideWrite, RedoOp, RedoWrite, Wal, WalRecord,
-};
+mod gen;
+
+use chiller_common::ids::{NodeId, TxnId};
+use chiller_storage::wal::{decode_stream, Wal, WalReader, WalRecord};
+use gen::{encode_all, wal_record_strategy};
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::I64),
-        // Halves of integers: exact in f64, so PartialEq round-trips.
-        any::<i32>().prop_map(|i| Value::F64(f64::from(i) * 0.5)),
-        (0u32..1000).prop_map(|n| Value::Str(format!("s{n}"))),
-        (0u8..1).prop_map(|_| Value::Null),
-    ]
-}
-
-fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
-    prop::collection::vec(value_strategy(), 0..5)
-}
-
-fn op_strategy() -> impl Strategy<Value = RedoOp> {
-    prop_oneof![
-        row_strategy().prop_map(RedoOp::Put),
-        row_strategy().prop_map(RedoOp::Insert),
-        (0u8..1).prop_map(|_| RedoOp::Delete),
-    ]
-}
-
-fn record_id_strategy() -> impl Strategy<Value = RecordId> {
-    (1u16..9, any::<u64>()).prop_map(|(t, k)| RecordId::new(TableId(t), k))
-}
-
-fn txn_strategy() -> impl Strategy<Value = TxnId> {
-    (0u32..16, 0u64..(1 << 40)).prop_map(|(n, s)| TxnId::new(NodeId(n), s))
-}
-
-fn redo_write_strategy() -> impl Strategy<Value = RedoWrite> {
-    (record_id_strategy(), 1u64..1000, op_strategy()).prop_map(|(record, version, op)| RedoWrite {
-        record,
-        version,
-        op,
-    })
-}
-
-fn decide_write_strategy() -> impl Strategy<Value = DecideWrite> {
-    (0u32..16, record_id_strategy(), op_strategy()).prop_map(|(p, record, op)| DecideWrite {
-        partition: PartitionId(p),
-        record,
-        op,
-    })
-}
-
-fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
-    prop_oneof![
-        (
-            txn_strategy(),
-            prop::collection::vec(redo_write_strategy(), 0..6)
-        )
-            .prop_map(|(txn, writes)| WalRecord::Redo { txn, writes }),
-        (
-            txn_strategy(),
-            0u32..100,
-            prop::option::of((0u32..16).prop_map(PartitionId)),
-            prop::collection::vec(decide_write_strategy(), 0..6),
-        )
-            .prop_map(|(txn, p, pending_inner, writes)| WalRecord::Decide {
-                txn,
-                proc: format!("proc-{p}"),
-                pending_inner,
-                writes,
-            }),
-        txn_strategy().prop_map(|txn| WalRecord::InnerCommit { txn }),
-        txn_strategy().prop_map(|txn| WalRecord::Ack { txn }),
-    ]
-}
-
-fn encode_all(records: &[WalRecord]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for rec in records {
-        encode_record(rec, &mut buf);
-    }
-    buf
-}
+use std::path::{Path, PathBuf};
 
 proptest! {
     /// Any record stream decodes back to itself, consuming every byte.
@@ -148,6 +70,66 @@ proptest! {
         prop_assert!(consumed <= pos, "decode consumed past the corrupted byte");
     }
 
+    /// The streaming reader is `decode_stream` in bounded memory: at every
+    /// truncation offset and whatever the read size — one byte, a size
+    /// that straddles every header, or more than the whole log — it yields
+    /// the same records and stops at the same byte.
+    #[test]
+    fn reader_matches_decode_stream_at_every_offset(
+        records in prop::collection::vec(wal_record_strategy(), 1..8),
+    ) {
+        let buf = encode_all(&records);
+        for cut in 0..=buf.len() {
+            let want = decode_stream(&buf[..cut]);
+            for chunk in [1, 7, 4096] {
+                prop_assert_eq!(&stream(&buf[..cut], chunk), &want, "cut {} chunk {}", cut, chunk);
+            }
+        }
+    }
+
+    /// Same under damage: a flipped byte stops the reader exactly where it
+    /// stops `decode_stream`.
+    #[test]
+    fn reader_matches_decode_stream_under_corruption(
+        records in prop::collection::vec(wal_record_strategy(), 1..8),
+        pos_seed in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let mut buf = encode_all(&records);
+        let pos = (pos_seed % buf.len() as u64) as usize;
+        buf[pos] ^= flip;
+        let want = decode_stream(&buf);
+        for chunk in [1, 7, 4096] {
+            prop_assert_eq!(&stream(&buf, chunk), &want, "flip at {} chunk {}", pos, chunk);
+        }
+    }
+
+    /// A frame fetched by offset is the frame a scan found there, and a
+    /// byte bound below the data ends the scan like a torn tail would.
+    #[test]
+    fn reader_fetches_single_frames_by_offset(
+        records in prop::collection::vec(wal_record_strategy(), 1..8),
+    ) {
+        let buf = encode_all(&records);
+        let mut offsets = Vec::new();
+        let mut reader = WalReader::with_chunk(std::io::Cursor::new(&buf[..]), buf.len() as u64, 7);
+        loop {
+            let at = reader.position();
+            if reader.next_record().expect("cursor read").is_none() {
+                break;
+            }
+            offsets.push(at);
+        }
+        prop_assert_eq!(offsets.len(), records.len());
+        for (i, at) in offsets.iter().enumerate().rev() {
+            let fetched = reader.record_at(*at).expect("cursor read");
+            prop_assert_eq!(fetched.as_ref(), Some(&records[i]));
+        }
+        let last = *offsets.last().expect("at least one record");
+        let bounded = WalReader::with_chunk(&buf[..], last, 4096);
+        prop_assert_eq!(stream_of(bounded), (records[..records.len() - 1].to_vec(), last as usize));
+    }
+
     /// The file-level contract: a log torn at an arbitrary byte offset
     /// reopens to the longest whole-frame prefix, reports the dropped
     /// tail, and appends land cleanly at the truncation point.
@@ -162,7 +144,8 @@ proptest! {
 
         // Write and flush a clean log, then tear it mid-byte.
         {
-            let (mut wal, recovered) = Wal::open(&path, 1).expect("open fresh");
+            let (mut wal, _) = Wal::open(&path, 1).expect("open fresh");
+            let recovered = read_all(&path);
             prop_assert!(recovered.is_empty());
             for rec in &records {
                 wal.append(rec);
@@ -175,7 +158,9 @@ proptest! {
 
         // Reopen: the valid prefix comes back, the tail is accounted for.
         let (expected, expected_bytes) = decode_stream(&full[..cut]);
-        let (mut wal, recovered) = Wal::open(&path, 1).expect("reopen torn");
+        let (mut wal, valid_len) = Wal::open(&path, 1).expect("reopen torn");
+        prop_assert_eq!(valid_len, expected_bytes as u64);
+        let recovered = read_all(&path);
         prop_assert_eq!(&recovered[..], &expected[..]);
         prop_assert_eq!(wal.stats.torn_bytes_dropped, (cut - expected_bytes) as u64);
 
@@ -186,13 +171,33 @@ proptest! {
         wal.append(&extra);
         wal.flush();
         drop(wal);
-        let (_, recovered) = Wal::open(&path, 1).expect("reopen after append");
+        drop(Wal::open(&path, 1).expect("reopen after append"));
+        let recovered = read_all(&path);
         let mut want = expected;
         want.push(extra);
         prop_assert_eq!(recovered, want);
 
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// Every record a [`WalReader`] finds in the file at `path`.
+fn read_all(path: &Path) -> Vec<WalRecord> {
+    let len = std::fs::metadata(path).expect("stat log").len();
+    let mut reader = WalReader::open(path, len).expect("open log for reading");
+    std::iter::from_fn(|| reader.next_record().expect("read log")).collect()
+}
+
+/// What a streaming read of `data` yields with `chunk`-byte reads: the
+/// records and the valid prefix length, the pair `decode_stream` returns.
+fn stream(data: &[u8], chunk: usize) -> (Vec<WalRecord>, usize) {
+    stream_of(WalReader::with_chunk(data, data.len() as u64, chunk))
+}
+
+fn stream_of(mut reader: WalReader<&[u8]>) -> (Vec<WalRecord>, usize) {
+    let records =
+        std::iter::from_fn(|| reader.next_record().expect("slice reads cannot fail")).collect();
+    (records, reader.position() as usize)
 }
 
 /// Per-case scratch file (process- and case-qualified: property cases in

@@ -20,9 +20,10 @@
 //!    treats recovered versions it never saw written as initial state).
 //!
 //! Covered: mid-TPC-C and mid-SmallBank kills on all three backends,
-//! every protocol on the simulator, a double-crash epoch walk, and the
-//! off-path contract (durability on vs. off is byte-identical on the
-//! deterministic simulator).
+//! every protocol on the simulator, a double-crash epoch walk, a kill
+//! after a clean drain (nothing left in doubt), and the off-path contract
+//! (durability on vs. off is byte-identical on the deterministic
+//! simulator).
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
@@ -388,6 +389,49 @@ fn double_crash_walks_the_epoch_chain() {
     c3.expect_serializable("double-crash");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drained cluster has closed every transaction it opened — commits by
+/// an `Ack`, two-region attempts given up after their provisional `Decide`
+/// by an `Abort` mark — so a kill after `quiesce` leaves recovery nothing
+/// to resolve, on any backend.
+#[test]
+fn clean_quiesce_leaves_nothing_in_doubt() {
+    let cfg = contended_config();
+    for (backend, seed, window_ms) in [
+        (Backend::Simulated, 79, 10),
+        (Backend::Threaded, 83, 60),
+        (Backend::Async, 89, 60),
+    ] {
+        let label = format!("smallbank-quiesced-{backend:?}");
+        let dir = wal_dir(&label);
+        let build = |seed| {
+            build_cluster_durable(
+                &cfg,
+                NODES,
+                Protocol::Chiller,
+                sim_config(seed),
+                backend,
+                None,
+                None,
+                Some(&dir),
+            )
+        };
+        let mut c1 = build(seed);
+        let r1 = c1.run(RunSpec::millis(0, window_ms));
+        assert!(r1.total_commits() > 0, "{label}: {}", r1.summary());
+        c1.quiesce();
+        let snap = c1.kill();
+
+        let c2 = build(seed + 1);
+        let rec = c2.recovery().expect("rebuild must recover").clone();
+        assert!(rec.records_scanned > 0, "{label}: {rec}");
+        assert_eq!(rec.in_doubt, 0, "{label}: {rec}");
+        assert_eq!(rec.writes_repaired, 0, "{label}: {rec}");
+        assert_smallbank_invariants_recovered(&c2, &cfg, &[&snap.commits_by_proc], &label);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The off-path contract: on the deterministic simulator, the same seed
