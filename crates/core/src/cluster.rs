@@ -433,7 +433,7 @@ impl ClusterBuilder {
         let stage_on_start =
             self.backend == Backend::Threaded && pin == PinPolicy::Cores && !recovery_needed;
         let mut staged: Vec<StagedRows> = (0..self.nodes).map(|_| StagedRows::default()).collect();
-        for (rid, row) in self.records {
+        for (rid, mut row) in self.records {
             let p = placement.partition_of(rid);
             if p.idx() >= self.nodes {
                 return Err(ChillerError::Config(format!(
@@ -441,20 +441,23 @@ impl ClusterBuilder {
                     self.nodes
                 )));
             }
-            if stage_on_start {
-                staged[p.idx()].primary.push((rid, row.clone()));
-            } else {
-                primaries[p.idx()].load(rid, row.clone());
-            }
-            for i in 1..=replica_count {
-                let replica_node = (p.idx() + i) % self.nodes;
-                if stage_on_start {
-                    staged[replica_node].replicas.push((p, rid, row.clone()));
+            // Copy 0 is the primary, copies 1..=replica_count the replicas;
+            // every copy but the last is a clone, the last takes the row.
+            for i in 0..=replica_count {
+                let copy = if i == replica_count {
+                    std::mem::take(&mut row)
                 } else {
-                    replicas[replica_node]
+                    row.clone()
+                };
+                let node = (p.idx() + i) % self.nodes;
+                match (i, stage_on_start) {
+                    (0, true) => staged[node].primary.push((rid, copy)),
+                    (0, false) => primaries[node].load(rid, copy),
+                    (_, true) => staged[node].replicas.push((p, rid, copy)),
+                    (_, false) => replicas[node]
                         .get_mut(&p)
                         .expect("replica store allocated")
-                        .load(rid, row.clone());
+                        .load(rid, copy),
                 }
             }
         }
