@@ -51,7 +51,6 @@
 
 pub mod cluster;
 pub mod crash;
-pub mod experiment;
 pub mod report;
 
 pub use cluster::{AdaptiveStats, Cluster, ClusterBuilder, RunSpec};

@@ -89,7 +89,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable label used in reports and BENCH_*.json files.
+    /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Simulated => "simulated",

@@ -160,7 +160,7 @@ impl MailboxKind {
         }
     }
 
-    /// Stable label used in reports and BENCH_*.json rows.
+    /// Stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             MailboxKind::Ring => "ring",

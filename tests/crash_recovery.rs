@@ -20,7 +20,8 @@
 //!    treats recovered versions it never saw written as initial state).
 //!
 //! Covered: mid-TPC-C and mid-SmallBank kills on all three backends,
-//! every protocol on the simulator, a double-crash epoch walk, a kill
+//! every protocol on the simulator and the threaded backend, a
+//! double-crash epoch walk, a kill
 //! after a clean drain (nothing left in doubt), and the off-path contract
 //! (durability on vs. off is byte-identical on the deterministic
 //! simulator).
@@ -199,7 +200,13 @@ fn tpcc_crash_recover(
 /// Kill a SmallBank run mid-window, recover, keep going; conservation
 /// must hold across both incarnations (live counters + pre-kill acked
 /// counts + recovered-but-never-acked commits).
-fn smallbank_crash_recover(backend: Backend, seed: u64, window_ms: u64, label: &str) {
+fn smallbank_crash_recover(
+    protocol: Protocol,
+    backend: Backend,
+    seed: u64,
+    window_ms: u64,
+    label: &str,
+) {
     let dir = wal_dir(label);
     let cfg = contended_config();
     let kill_at = CrashPlan::new(seed).kill_point(0, Duration::from_millis(window_ms));
@@ -207,7 +214,7 @@ fn smallbank_crash_recover(backend: Backend, seed: u64, window_ms: u64, label: &
     let mut c1 = build_cluster_durable(
         &cfg,
         NODES,
-        Protocol::Chiller,
+        protocol,
         sim_config(seed),
         backend,
         None,
@@ -226,7 +233,7 @@ fn smallbank_crash_recover(backend: Backend, seed: u64, window_ms: u64, label: &
     let mut c2 = build_cluster_durable(
         &cfg,
         NODES,
-        Protocol::Chiller,
+        protocol,
         sim_config(seed + 1),
         backend,
         None,
@@ -275,16 +282,22 @@ fn tpcc_crash_recovery_all_protocols_sim() {
     }
 }
 
-/// Threaded backend: a mid-TPC-C kill under real OS-thread interleaving.
+/// Threaded backend: every protocol survives a mid-TPC-C kill under real
+/// OS-thread interleaving.
 #[test]
 fn tpcc_crash_recovery_threaded() {
-    tpcc_crash_recover(
-        Protocol::Chiller,
-        Backend::Threaded,
-        47,
-        60,
-        "tpcc-crash-threaded",
-    );
+    for (i, protocol) in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ]
+        .into_iter()
+        .enumerate()
+    {
+        tpcc_crash_recover(
+            protocol,
+            Backend::Threaded,
+            47 + 100 * i as u64,
+            60,
+            &format!("tpcc-crash-threaded-{protocol}"),
+        );
+    }
 }
 
 /// Async worker-pool backend: a mid-TPC-C kill while 4 partitions are
@@ -303,19 +316,42 @@ fn tpcc_crash_recovery_async() {
 /// Simulated backend: SmallBank conservation across a kill.
 #[test]
 fn smallbank_crash_recovery_sim() {
-    smallbank_crash_recover(Backend::Simulated, 59, 10, "smallbank-crash-sim");
+    smallbank_crash_recover(
+        Protocol::Chiller,
+        Backend::Simulated,
+        59,
+        10,
+        "smallbank-crash-sim",
+    );
 }
 
-/// Threaded backend: SmallBank conservation across a kill.
+/// Threaded backend: SmallBank conservation across a kill, every protocol.
 #[test]
 fn smallbank_crash_recovery_threaded() {
-    smallbank_crash_recover(Backend::Threaded, 61, 60, "smallbank-crash-threaded");
+    for (i, protocol) in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ]
+        .into_iter()
+        .enumerate()
+    {
+        smallbank_crash_recover(
+            protocol,
+            Backend::Threaded,
+            61 + 100 * i as u64,
+            60,
+            &format!("smallbank-crash-threaded-{protocol}"),
+        );
+    }
 }
 
 /// Async backend: SmallBank conservation across a kill.
 #[test]
 fn smallbank_crash_recovery_async() {
-    smallbank_crash_recover(Backend::Async, 67, 60, "smallbank-crash-async");
+    smallbank_crash_recover(
+        Protocol::Chiller,
+        Backend::Async,
+        67,
+        60,
+        "smallbank-crash-async",
+    );
 }
 
 /// Two crashes back to back: each recovery bumps the epoch (so restarted

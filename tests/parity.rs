@@ -9,7 +9,8 @@
 //!    no leaked locks or zombie transactions.
 //! 2. **Determinism** — identical seeds yield *byte-identical*
 //!    `EngineReport`s (the whole per-node metric state, not just totals),
-//!    which is what makes every experiment in `bench/` reproducible.
+//!    which is what makes every figure in `tests/paper_claims.rs`
+//!    reproducible.
 //! 3. **Paper-shaped relative results** — under contention with the hot
 //!    set co-located, Chiller's two-region execution must beat 2PL+2PC
 //!    throughput.

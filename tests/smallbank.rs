@@ -59,29 +59,31 @@ fn smallbank_certifies_on_the_simulator() {
     }
 }
 
-/// Threaded backend (one OS thread per engine), windowed check: wall-clock
-/// interleavings, bounded checker memory.
+/// Threaded backend (one OS thread per engine), all protocols, windowed
+/// check: wall-clock interleavings, bounded checker memory.
 #[test]
 fn smallbank_certifies_on_the_threaded_backend() {
-    let cfg = contended_config();
-    let mut cluster = build_cluster_checked(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(17),
-        Backend::Threaded,
-        None,
-        Some(CheckMode::Window(256)),
-    );
-    let report = cluster.run(RunSpec::millis(0, 100));
-    assert!(
-        report.total_commits() > 0,
-        "threaded smallbank committed nothing — {}",
-        report.summary()
-    );
-    cluster.quiesce();
-    assert_smallbank_invariants(&cluster, &cfg, "chiller (threaded)");
-    cluster.expect_serializable("smallbank chiller (threaded)");
+    for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
+        let cfg = contended_config();
+        let mut cluster = build_cluster_checked(
+            &cfg,
+            NODES,
+            protocol,
+            sim_config(17),
+            Backend::Threaded,
+            None,
+            Some(CheckMode::Window(256)),
+        );
+        let report = cluster.run(RunSpec::millis(0, 100));
+        assert!(
+            report.total_commits() > 0,
+            "threaded smallbank {protocol} committed nothing — {}",
+            report.summary()
+        );
+        cluster.quiesce();
+        assert_smallbank_invariants(&cluster, &cfg, &format!("{protocol} (threaded)"));
+        cluster.expect_serializable(&format!("smallbank {protocol} (threaded)"));
+    }
 }
 
 /// Async worker-pool backend, both mailbox kinds.
