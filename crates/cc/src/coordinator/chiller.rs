@@ -202,9 +202,10 @@ fn on_inner_result(
         for (op, row) in outputs {
             coord.exec.set_output(op, row);
         }
-        for id in coord.split.inner_ops.clone() {
-            coord.ops[id.idx()].responded = true;
-            coord.ops[id.idx()].computed = true;
+        for id in &coord.split.inner_ops {
+            let st = &mut coord.ops[id.idx()];
+            st.responded = true;
+            st.computed = true;
         }
         if coord.pending == 0 {
             resume_outer_commit(eng, ctx, txn, coord);

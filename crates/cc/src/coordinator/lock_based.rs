@@ -2,15 +2,16 @@
 //! region): combined lock+read waves, grant/conflict handling, and the
 //! write-back + unlock commit with the prepare piggybacked (Figure 3a).
 
-use super::{finish_commit, in_scope, lock_mode_for, Coord, FailKind, Phase};
+use super::{
+    by_partition, finish_commit, in_scope, lock_mode_for, take_run, Coord, FailKind, Phase,
+};
 use crate::engine::EngineActor;
-use crate::msg::{LockReadItem, Msg, WriteItem};
-use chiller_common::ids::{NodeId, OpId, PartitionId, RecordId, TxnId};
+use crate::msg::{LockReadItem, Msg};
+use chiller_common::ids::{NodeId, OpId, RecordId, TxnId};
 use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Wave dispatch: a combined CAS-lock + READ batch for one partition.
 pub(super) fn lock_read_message(coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
@@ -60,11 +61,13 @@ pub(super) fn absorb_lock_read_resp(
                 .held_locks
                 .push((st.partition.expect("issued"), st.record.expect("issued")));
         }
+        // Each row has one home: a read's row is its output, an update's
+        // is the input its apply function borrows at compute time.
         for (op_id, row) in rows {
-            let st = &mut coord.ops[op_id.idx()];
-            st.raw_row = Some(row.clone());
             if matches!(coord.proc.op(op_id).kind, OpKind::Read { .. }) {
                 coord.exec.set_output(op_id, row);
+            } else {
+                coord.ops[op_id.idx()].raw_row = Some(row);
             }
         }
     } else if missing.is_some() {
@@ -101,22 +104,20 @@ pub(super) fn commit_locked(
     // repair participants that never saw their CommitOuter.
     super::log_decide(eng, txn, coord, None);
 
-    let mut writes_by_part: BTreeMap<PartitionId, Vec<WriteItem>> = BTreeMap::new();
-    for (p, w) in coord.writes.drain(..) {
-        writes_by_part.entry(p).or_default().push(w);
-    }
-    let mut unlocks_by_part: BTreeMap<PartitionId, Vec<RecordId>> = BTreeMap::new();
-    for (p, rid) in coord.held_locks.drain(..) {
-        unlocks_by_part.entry(p).or_default().push(rid);
-    }
-    let parts: BTreeSet<PartitionId> = writes_by_part
-        .keys()
-        .chain(unlocks_by_part.keys())
-        .copied()
-        .collect();
-    for part in parts {
-        let writes = writes_by_part.remove(&part).unwrap_or_default();
-        let unlocks = unlocks_by_part.remove(&part).unwrap_or_default();
+    // Both lists come out grouped by partition in ascending order, so one
+    // merge walk visits every written or locked partition once, in order.
+    let mut writes_by_part = by_partition(std::mem::take(&mut coord.writes)).peekable();
+    let mut unlocks_by_part = by_partition(std::mem::take(&mut coord.held_locks)).peekable();
+    loop {
+        let next_write = writes_by_part.peek().map(|&(p, _)| p);
+        let next_unlock = unlocks_by_part.peek().map(|&(p, _)| p);
+        let Some(part) = next_write.into_iter().chain(next_unlock).min() else {
+            break;
+        };
+        let writes = take_run(&mut writes_by_part, part);
+        let unlocks = take_run(&mut unlocks_by_part, part);
+        // Every replica gets a copy; the write-back below takes the
+        // original.
         if !writes.is_empty() {
             for replica in eng.replica_nodes(part) {
                 ctx.send(

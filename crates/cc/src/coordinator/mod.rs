@@ -49,7 +49,8 @@ use chiller_sproc::decision::GuardSite;
 use chiller_sproc::op::OpKind;
 use chiller_sproc::{ExecState, Procedure, RegionSplit};
 use chiller_storage::lock::LockMode;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 pub use chiller::ChillerCoordinator;
@@ -245,6 +246,39 @@ pub(crate) fn in_scope(coord: &Coord, op: OpId) -> bool {
     }
 }
 
+/// Split `items` into per-partition runs, in ascending partition order.
+/// The sort is stable, so each run keeps its items in insertion order —
+/// the grouping a `BTreeMap<PartitionId, Vec<T>>` gives, and so the same
+/// messages in the same order, without building the tree. Each run is
+/// one exactly-sized allocation; the sort itself allocates nothing for the
+/// handful of items a transaction carries.
+pub(crate) fn by_partition<T>(
+    mut items: Vec<(PartitionId, T)>,
+) -> impl Iterator<Item = (PartitionId, Vec<T>)> {
+    items.sort_by_key(|&(part, _)| part);
+    let mut rest = items.into_iter();
+    std::iter::from_fn(move || {
+        let part = rest.as_slice().first()?.0;
+        let n = rest
+            .as_slice()
+            .iter()
+            .take_while(|(p, _)| *p == part)
+            .count();
+        Some((part, rest.by_ref().take(n).map(|(_, x)| x).collect()))
+    })
+}
+
+/// The next run of a [`by_partition`] walk if it belongs to `part`, else
+/// an empty list (which does not allocate).
+pub(crate) fn take_run<T>(
+    runs: &mut Peekable<impl Iterator<Item = (PartitionId, Vec<T>)>>,
+    part: PartitionId,
+) -> Vec<T> {
+    runs.next_if(|&(p, _)| p == part)
+        .map(|(_, run)| run)
+        .unwrap_or_default()
+}
+
 /// Lock mode an operation needs under lock-based execution.
 pub(crate) fn lock_mode_for(op: &chiller_sproc::op::Op) -> LockMode {
     match &op.kind {
@@ -289,13 +323,16 @@ pub(crate) fn drive(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, c
 /// Finalize every op whose inputs are available: compute update rows,
 /// build insert rows, buffer writes.
 pub(crate) fn compute_pass(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, coord: &mut Coord) {
+    // A handle of our own on the procedure, so its ops can be borrowed
+    // while `coord` is written.
+    let proc = Arc::clone(&coord.proc);
     loop {
         let mut progressed = false;
-        for i in 0..coord.proc.num_ops() {
+        for i in 0..proc.num_ops() {
             if coord.ops[i].computed || !coord.ops[i].responded {
                 continue;
             }
-            let op = coord.proc.op(OpId(i as u16)).clone();
+            let op = proc.op(OpId(i as u16));
             if !op
                 .value_deps
                 .iter()
@@ -309,8 +346,8 @@ pub(crate) fn compute_pass(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, coord:
                 OpKind::Read { .. } => {} // output set at response time
                 OpKind::Update(apply) => {
                     ctx.use_cpu(eng.op_cpu());
-                    let raw = coord.ops[i].raw_row.clone().expect("update read a row");
-                    let new = apply(&raw, &coord.exec);
+                    let raw = coord.ops[i].raw_row.as_ref().expect("update read a row");
+                    let new = apply(raw, &coord.exec);
                     coord.exec.set_output(op.id, new.clone());
                     coord.writes.push((
                         part,
@@ -381,7 +418,7 @@ fn issue_wave(
     txn: TxnId,
     coord: &mut Coord,
 ) -> usize {
-    let mut per_partition: BTreeMap<PartitionId, Vec<OpId>> = BTreeMap::new();
+    let mut ready: Vec<(PartitionId, OpId)> = Vec::new();
     for i in 0..coord.proc.num_ops() {
         let id = OpId(i as u16);
         if coord.ops[i].issued || !in_scope(coord, id) {
@@ -397,17 +434,18 @@ fn issue_wave(
         coord.ops[i].record = Some(rid);
         coord.ops[i].partition = Some(part);
         coord.participants.insert(part);
-        per_partition.entry(part).or_default().push(id);
+        ready.push((part, id));
         ctx.use_cpu(eng.op_cpu());
     }
-    let n = per_partition.len();
+    let mut n = 0;
     let strategy = eng.strategy;
-    for (part, op_ids) in per_partition {
+    for (part, op_ids) in by_partition(ready) {
+        n += 1;
         let target = NodeId(part.0);
         coord.next_req += 1;
         let req = coord.next_req;
-        coord.inflight.insert(req, op_ids.clone());
         let msg = strategy.wave_message(coord, txn, req, &op_ids);
+        coord.inflight.insert(req, op_ids);
         let verb = msg.verb();
         if target != eng.node && eng.tracer.full() {
             let label = msg.kind_label();
@@ -468,9 +506,9 @@ pub(crate) fn finish_commit(
     txn: TxnId,
     coord: &mut Coord,
 ) {
-    let name = eng.proc_name(&coord.input).to_owned();
+    let name = eng.proc_name(&coord.input);
     let distributed = coord.participants.len() > 1;
-    let stats = eng.metrics.type_stats(&name);
+    let stats = eng.metrics.type_stats(name);
     stats.commits += 1;
     if distributed {
         stats.distributed_commits += 1;
@@ -543,11 +581,7 @@ pub(crate) fn abort_attempt(
     txn: TxnId,
     coord: &mut Coord,
 ) {
-    let mut unlocks_by_part: BTreeMap<PartitionId, Vec<RecordId>> = BTreeMap::new();
-    for (p, rid) in coord.held_locks.drain(..) {
-        unlocks_by_part.entry(p).or_default().push(rid);
-    }
-    for (part, unlocks) in unlocks_by_part {
+    for (part, unlocks) in by_partition(std::mem::take(&mut coord.held_locks)) {
         ctx.send(
             NodeId(part.0),
             Verb::OneSided,
@@ -561,7 +595,7 @@ pub(crate) fn abort_attempt(
         eng.wal_append(chiller_storage::wal::WalRecord::Abort { txn });
     }
     let kind = coord.failed.expect("abort without failure");
-    let name = eng.proc_name(&coord.input).to_owned();
+    let name = eng.proc_name(&coord.input);
     let slot = coord.slot;
     coord.phase = Phase::Done;
     if coord.traced {
@@ -581,7 +615,7 @@ pub(crate) fn abort_attempt(
     }
     match kind {
         FailKind::Transient(reason) => {
-            eng.metrics.type_stats(&name).aborts += 1;
+            eng.metrics.type_stats(name).aborts += 1;
             eng.metrics.abort_reasons.record(reason);
             if let Some(mon) = eng.monitor.as_mut() {
                 mon.on_abort();
@@ -612,7 +646,7 @@ pub(crate) fn abort_attempt(
             }
         }
         FailKind::Logic => {
-            eng.metrics.type_stats(&name).logic_aborts += 1;
+            eng.metrics.type_stats(name).logic_aborts += 1;
             eng.schedule_fresh_start(ctx, slot);
         }
     }

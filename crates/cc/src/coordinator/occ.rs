@@ -7,7 +7,10 @@
 //! releases latches — or, on validation failure, a release-only round
 //! before the retry backoff.
 
-use super::{abort_attempt, drive, finish_commit, Coord, CoordinatorProtocol, FailKind, Phase};
+use super::{
+    abort_attempt, by_partition, drive, finish_commit, take_run, Coord, CoordinatorProtocol,
+    FailKind, Phase,
+};
 use crate::engine::EngineActor;
 use crate::msg::{Msg, OccReadItem, ValidateItem};
 use crate::protocol::Protocol;
@@ -16,7 +19,6 @@ use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Strategy singleton for [`Protocol::Occ`].
 pub struct OccCoordinator;
@@ -111,22 +113,14 @@ fn absorb_occ_read_resp(
         let st = &mut coord.ops[op_id.idx()];
         st.responded = true;
         st.version = version;
-        let kind = coord.proc.op(op_id).kind.clone();
-        match (row, kind) {
-            (Some(r), OpKind::Read { .. }) => {
-                coord.ops[op_id.idx()].raw_row = Some(r.clone());
-                coord.exec.set_output(op_id, r);
-            }
-            (Some(r), OpKind::Update(_)) => {
-                coord.ops[op_id.idx()].raw_row = Some(r);
-            }
+        match (row, &coord.proc.op(op_id).kind) {
+            (Some(r), OpKind::Read { .. }) => coord.exec.set_output(op_id, r),
+            (Some(r), OpKind::Update(_)) => st.raw_row = Some(r),
             (None, OpKind::Insert(_)) => {}
             (Some(_), OpKind::Insert(_)) => {
                 coord.failed = Some(FailKind::Logic); // duplicate key
             }
-            (Some(r), OpKind::Delete) => {
-                coord.ops[op_id.idx()].raw_row = Some(r);
-            }
+            (Some(r), OpKind::Delete) => st.raw_row = Some(r),
             (None, OpKind::Delete) => {} // validated by version at commit
             (None, _) => {
                 coord.failed = Some(FailKind::Logic); // record missing
@@ -142,24 +136,25 @@ fn send_validate(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coor
     coord.phase = Phase::Validating;
     coord.pending = 0;
     coord.validated_ok.clear();
-    let write_set: HashSet<RecordId> = coord.writes.iter().map(|(_, w)| w.record).collect();
-    let mut items_by_part: BTreeMap<PartitionId, Vec<ValidateItem>> = BTreeMap::new();
+    let mut items: Vec<(PartitionId, ValidateItem)> = Vec::new();
     for st in &coord.ops {
         let (Some(rid), Some(part)) = (st.record, st.partition) else {
             continue;
         };
-        let entry = items_by_part.entry(part).or_default();
-        if let Some(existing) = entry.iter_mut().find(|it| it.record == rid) {
-            existing.is_write |= write_set.contains(&rid);
+        // An op on a record another op already covered adds nothing.
+        if items.iter().any(|(p, it)| *p == part && it.record == rid) {
             continue;
         }
-        entry.push(ValidateItem {
-            record: rid,
-            version: st.version,
-            is_write: write_set.contains(&rid),
-        });
+        items.push((
+            part,
+            ValidateItem {
+                record: rid,
+                version: st.version,
+                is_write: writes_record(coord, rid),
+            },
+        ));
     }
-    for (part, items) in items_by_part {
+    for (part, items) in by_partition(items) {
         let target = NodeId(part.0);
         if target != eng.node && eng.tracer.full() {
             eng.tracer.record(
@@ -228,31 +223,24 @@ fn occ_decide(
         // releases, mirroring the lock-based commit path.
         super::log_decide(eng, txn, coord, None);
     }
-    let write_set: HashSet<RecordId> = coord.writes.iter().map(|(_, w)| w.record).collect();
-    let mut writes_by_part: BTreeMap<PartitionId, Vec<_>> = BTreeMap::new();
-    for (p, w) in &coord.writes {
-        writes_by_part.entry(*p).or_default().push(w.clone());
-    }
-    let targets: Vec<PartitionId> = if commit {
-        coord.participants.iter().copied().collect()
+    // What each target releases is read off the write set before the
+    // writes move out into the decide messages.
+    let with_latches = |&part: &PartitionId| (part, latched_at(coord, part));
+    let targets: Vec<(PartitionId, Vec<RecordId>)> = if commit {
+        coord.participants.iter().map(with_latches).collect()
     } else {
-        coord.validated_ok.clone()
+        coord.validated_ok.iter().map(with_latches).collect()
     };
-    for part in targets {
-        let writes = if commit {
-            writes_by_part.remove(&part).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let latched: Vec<RecordId> = coord
-            .ops
-            .iter()
-            .filter(|st| st.partition == Some(part))
-            .filter_map(|st| st.record)
-            .filter(|r| write_set.contains(r))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
+    // Participants ascend, and every write's partition is a participant,
+    // so each write run is taken in turn.
+    let writes = if commit {
+        std::mem::take(&mut coord.writes)
+    } else {
+        Vec::new()
+    };
+    let mut write_runs = by_partition(writes).peekable();
+    for (part, latched) in targets {
+        let writes = take_run(&mut write_runs, part);
         if commit && !writes.is_empty() {
             for replica in eng.replica_nodes(part) {
                 ctx.send(
@@ -283,7 +271,32 @@ fn occ_decide(
         );
         coord.pending += 1;
     }
+    debug_assert!(
+        write_runs.peek().is_none(),
+        "a write outside the participants"
+    );
     if coord.pending == 0 && commit {
         finish_commit(eng, ctx, txn, coord);
     }
+}
+
+/// Whether this attempt writes `rid`. A transaction writes a handful of
+/// records, so a scan beats building a set.
+fn writes_record(coord: &Coord, rid: RecordId) -> bool {
+    coord.writes.iter().any(|(_, w)| w.record == rid)
+}
+
+/// The records validation latched at `part`: those the attempt touched
+/// there and writes, ascending, each once.
+fn latched_at(coord: &Coord, part: PartitionId) -> Vec<RecordId> {
+    let mut latched: Vec<RecordId> = coord
+        .ops
+        .iter()
+        .filter(|st| st.partition == Some(part))
+        .filter_map(|st| st.record)
+        .filter(|&rid| writes_record(coord, rid))
+        .collect();
+    latched.sort_unstable();
+    latched.dedup();
+    latched
 }

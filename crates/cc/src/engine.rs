@@ -340,16 +340,17 @@ impl EngineActor {
         Duration::from_nanos(self.config.engine.txn_overhead_cpu_ns)
     }
 
-    /// Nodes holding replicas of partition `p` (primary excluded).
-    pub(crate) fn replica_nodes(&self, p: PartitionId) -> Vec<NodeId> {
+    /// Nodes holding replicas of partition `p` (primary excluded). The
+    /// iterator owns what it needs, so the engine stays free to mutate
+    /// while it is walked.
+    pub(crate) fn replica_nodes(&self, p: PartitionId) -> impl ExactSizeIterator<Item = NodeId> {
+        let nodes = self.num_nodes as u32;
         let r = self
             .config
             .replication
             .replicas()
-            .min(self.num_nodes.saturating_sub(1));
-        (1..=r as u32)
-            .map(|i| NodeId((p.0 + i) % self.num_nodes as u32))
-            .collect()
+            .min(self.num_nodes.saturating_sub(1)) as u32;
+        (1..r + 1).map(move |i| NodeId((p.0 + i) % nodes))
     }
 
     pub(crate) fn proc_name(&self, input: &TxnInput) -> &'static str {

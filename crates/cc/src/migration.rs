@@ -226,11 +226,11 @@ impl EngineActor {
         self.migrated_out.remove(&mig.job.record);
         let partition = self.store.partition;
         let replicas = self.replica_nodes(partition);
-        if replicas.is_empty() {
+        mig.pending = replicas.len();
+        if mig.pending == 0 {
             self.flip_and_finish(ctx, txn, mig);
             return;
         }
-        mig.pending = replicas.len();
         mig.phase = MigPhase::Replicas;
         for replica in replicas {
             ctx.send(

@@ -91,7 +91,9 @@ impl EngineActor {
         items: Vec<LockReadItem>,
     ) {
         let now = ctx.now();
-        let mut granted: Vec<RecordId> = Vec::with_capacity(items.len());
+        // Items lock in order and the loop stops at the first failure, so
+        // what was granted is always a prefix of `items`.
+        let mut granted = 0;
         let mut rows: Vec<(OpId, Row)> = Vec::new();
         let mut conflict = None;
         let mut missing = None;
@@ -99,7 +101,7 @@ impl EngineActor {
         for item in &items {
             match self.store.try_lock(item.record, txn, item.mode, now) {
                 Ok(()) => {
-                    granted.push(item.record);
+                    granted += 1;
                     self.trace_lock_acquire(item.record, txn, now);
                     if let Some(mon) = self.monitor.as_mut() {
                         mon.on_access(item.record);
@@ -144,8 +146,8 @@ impl EngineActor {
         }
         let ok = conflict.is_none() && missing.is_none();
         if !ok {
-            for rid in granted.drain(..) {
-                self.unlock_with_metrics(rid, txn, now);
+            for item in &items[..granted] {
+                self.unlock_with_metrics(item.record, txn, now);
             }
             rows.clear();
         }
@@ -164,36 +166,38 @@ impl EngineActor {
         );
     }
 
-    /// Apply a write item to the primary store, recording the installed
-    /// per-record version when serializability checking is on. Returns
-    /// that version for redo logging (0 when neither the recorder nor the
-    /// WAL needs it — the lookup stays off the undecorated hot path).
-    fn apply_write(&mut self, w: &WriteItem, txn: TxnId, now: SimTime) -> u64 {
-        match &w.kind {
-            WriteKind::Put(row) => self.store.write(w.record, row.clone()),
+    /// Move a write item's row into the primary store, recording the
+    /// installed per-record version when serializability checking is on.
+    /// Returns that version for redo logging (0 when neither the recorder
+    /// nor the WAL needs it — the lookup stays off the undecorated hot
+    /// path).
+    fn apply_write(&mut self, w: WriteItem, txn: TxnId, now: SimTime) -> u64 {
+        let record = w.record;
+        match w.kind {
+            WriteKind::Put(row) => self.store.write(record, row),
             WriteKind::Insert(row) => {
                 // Duplicates were excluded while the bucket lock was held.
                 self.store
-                    .insert(w.record, row.clone())
+                    .insert(record, row)
                     .expect("insert validated under lock");
             }
             WriteKind::Delete => {
                 self.store
-                    .delete(w.record)
+                    .delete(record)
                     .expect("delete validated under lock");
             }
         }
         if !self.recorder.enabled() && self.wal.is_none() {
             return 0;
         }
-        let version = self.store.record_version(w.record);
+        let version = self.store.record_version(record);
         if self.recorder.enabled() {
             self.recorder.record(
                 now.as_nanos(),
                 self.node,
                 HistoryEventKind::WriteObs {
                     txn,
-                    record: w.record,
+                    record,
                     version,
                 },
             );
@@ -201,24 +205,27 @@ impl EngineActor {
         version
     }
 
-    /// Apply a committed write-set to the primary store and, on durable
-    /// engines, append one redo record carrying the installed versions.
-    /// The caller holds exclusive locks/latches on every record from
+    /// Apply a committed write-set to the primary store, moving each row
+    /// in, and, on durable engines, append one redo record carrying the
+    /// installed versions; that record holds the only copy of a row made
+    /// here. The caller holds exclusive locks/latches on every record from
     /// read/validate through this apply, so per-partition log order equals
     /// apply order — the property replay relies on.
-    pub(crate) fn apply_writes(&mut self, writes: &[WriteItem], txn: TxnId, now: SimTime) {
+    pub(crate) fn apply_writes(&mut self, writes: Vec<WriteItem>, txn: TxnId, now: SimTime) {
         let mut redo = if self.wal.is_some() && !writes.is_empty() {
             Some(Vec::with_capacity(writes.len()))
         } else {
             None
         };
         for w in writes {
+            let record = w.record;
+            let op = redo.is_some().then(|| w.kind.to_redo_op());
             let version = self.apply_write(w, txn, now);
-            if let Some(redo) = redo.as_mut() {
+            if let (Some(redo), Some(op)) = (redo.as_mut(), op) {
                 redo.push(RedoWrite {
-                    record: w.record,
+                    record,
                     version,
-                    op: w.kind.to_redo_op(),
+                    op,
                 });
             }
         }
@@ -237,7 +244,7 @@ impl EngineActor {
         unlocks: Vec<RecordId>,
     ) {
         let now = ctx.now();
-        self.apply_writes(&writes, txn, now);
+        self.apply_writes(writes, txn, now);
         for rid in unlocks {
             self.unlock_with_metrics(rid, txn, now);
         }
@@ -281,10 +288,9 @@ impl EngineActor {
             .replicas
             .get_mut(&partition)
             .unwrap_or_else(|| panic!("node has no replica of {partition}"));
-        for w in &writes {
-            match &w.kind {
-                WriteKind::Put(row) => store.write(w.record, row.clone()),
-                WriteKind::Insert(row) => store.write(w.record, row.clone()),
+        for w in writes {
+            match w.kind {
+                WriteKind::Put(row) | WriteKind::Insert(row) => store.write(w.record, row),
                 WriteKind::Delete => {
                     let _ = store.delete(w.record);
                 }
@@ -395,7 +401,7 @@ impl EngineActor {
     ) {
         let now = ctx.now();
         if commit {
-            self.apply_writes(&writes, txn, now);
+            self.apply_writes(writes, txn, now);
         }
         for rid in latched {
             self.unlock_with_metrics(rid, txn, now);
@@ -496,9 +502,8 @@ impl EngineActor {
                     produced.push(id);
                 }
                 OpKind::Update(apply) => {
-                    let raw = self.store.read(rid).expect("existence checked").clone();
                     self.observe_read(txn, rid, now);
-                    let new = apply(&raw, &exec);
+                    let new = apply(self.store.read(rid).expect("existence checked"), &exec);
                     exec.set_output(id, new.clone());
                     produced.push(id);
                     writes.push(WriteItem {
@@ -562,21 +567,35 @@ impl EngineActor {
                 // are appended back-to-back, so one flush makes the §3.3
                 // decision and its effects durable together: recovery
                 // never finds the marker without the writes it covers.
-                self.apply_writes(&writes, txn, now);
+                // The store takes the write-set itself. The replicas get
+                // one copy, made before the apply: the last replica takes
+                // it, and any other replica gets a clone of it.
+                let partition = self.store.partition;
+                let mut replicas = self.replica_nodes(partition).peekable();
+                let mut copy = if writes.is_empty() || replicas.peek().is_none() {
+                    Vec::new()
+                } else {
+                    writes.clone()
+                };
+                self.apply_writes(writes, txn, now);
                 self.wal_append(WalRecord::InnerCommit { txn });
                 for rid in locked {
                     self.unlock_with_metrics(rid, txn, now);
                 }
-                if !writes.is_empty() {
-                    let partition = self.store.partition;
-                    for replica in self.replica_nodes(partition) {
+                if !copy.is_empty() {
+                    while let Some(replica) = replicas.next() {
+                        let writes = if replicas.peek().is_some() {
+                            copy.clone()
+                        } else {
+                            std::mem::take(&mut copy)
+                        };
                         ctx.send(
                             replica,
                             chiller_simnet::Verb::Rpc,
                             Msg::Replicate {
                                 txn,
                                 partition,
-                                writes: writes.clone(),
+                                writes,
                                 ack_coordinator: true,
                             },
                         );
@@ -584,7 +603,7 @@ impl EngineActor {
                 }
                 let outputs: Vec<(OpId, Row)> = produced
                     .iter()
-                    .filter_map(|id| exec.output(*id).map(|r| (*id, r.clone())))
+                    .filter_map(|&id| exec.take_output(id).map(|r| (id, r)))
                     .collect();
                 ctx.send(
                     src,

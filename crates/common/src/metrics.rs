@@ -325,8 +325,14 @@ impl MetricSet {
         }
     }
 
+    /// The stats of transaction type `name`, created on first use. Only
+    /// that first call allocates the key; every later one is a lookup.
     pub fn type_stats(&mut self, name: &str) -> &mut TxnTypeStats {
-        self.per_type.entry(name.to_owned()).or_default()
+        if !self.per_type.contains_key(name) {
+            self.per_type
+                .insert(name.to_owned(), TxnTypeStats::default());
+        }
+        self.per_type.get_mut(name).expect("inserted above")
     }
 
     pub fn total_commits(&self) -> u64 {
@@ -543,6 +549,17 @@ mod tests {
         };
         assert!((s.abort_rate() - 0.25).abs() < 1e-12);
         assert!((s.distributed_ratio() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn type_stats_returns_one_entry_per_name() {
+        let mut m = MetricSet::new();
+        m.type_stats("Payment").commits += 1;
+        m.type_stats("Payment").commits += 1;
+        m.type_stats("Payment").aborts += 1;
+        assert_eq!(m.per_type.len(), 1);
+        assert_eq!(m.per_type["Payment"].commits, 2);
+        assert_eq!(m.per_type["Payment"].aborts, 1);
     }
 
     #[test]

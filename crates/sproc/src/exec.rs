@@ -62,15 +62,10 @@ impl ExecState {
         self.outputs[id.idx()] = Some(row);
     }
 
-    /// Merge outputs produced elsewhere (the inner host returns outputs the
-    /// coordinator needs for outer phase-2 updates, and vice versa the
-    /// coordinator ships outer outputs to the inner host in the RPC).
-    pub fn absorb(&mut self, other: &ExecState) {
-        for (mine, theirs) in self.outputs.iter_mut().zip(&other.outputs) {
-            if mine.is_none() {
-                mine.clone_from(theirs);
-            }
-        }
+    /// Move the output of op `id` out, leaving its slot empty: how the
+    /// inner host ships its outputs back without copying them.
+    pub fn take_output(&mut self, id: chiller_common::ids::OpId) -> Option<Row> {
+        self.outputs.get_mut(id.idx()).and_then(Option::take)
     }
 
     /// Number of op output slots.
@@ -108,14 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_fills_gaps_without_overwriting() {
-        let mut a = ExecState::new(vec![], 2);
-        a.set_output(OpId(0), vec![Value::I64(1)]);
-        let mut b = ExecState::new(vec![], 2);
-        b.set_output(OpId(0), vec![Value::I64(99)]);
-        b.set_output(OpId(1), vec![Value::I64(2)]);
-        a.absorb(&b);
-        assert_eq!(a.output_req(OpId(0))[0].as_i64(), 1, "must not overwrite");
-        assert_eq!(a.output_req(OpId(1))[0].as_i64(), 2, "must fill gap");
+    fn take_output_moves_the_row_out() {
+        let mut st = ExecState::new(vec![], 2);
+        st.set_output(OpId(1), vec![Value::I64(9)]);
+        assert_eq!(st.take_output(OpId(1)), Some(vec![Value::I64(9)]));
+        assert!(st.output(OpId(1)).is_none());
+        assert_eq!(st.take_output(OpId(0)), None);
     }
 }

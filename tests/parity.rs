@@ -48,19 +48,29 @@ fn report_bytes(report: &chiller::RunReport) -> String {
     format!("{:?}", report.per_node)
 }
 
+/// Each protocol at the default replication degree and at degree 3: with
+/// two replicas per partition, every write-set is sent to more than one
+/// replica, and each replica must still end up equal to its primary.
 #[test]
 fn all_protocols_conserve_balance_and_quiesce_clean() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
-        let cfg = contended_config();
-        let mut cluster = build_cluster(&cfg, NODES, protocol, sim_config(11, 4));
-        let report = cluster.run(RunSpec::millis(1, 10));
-        assert!(
-            report.total_commits() > 100,
-            "{protocol}: too few commits — {}",
-            report.summary()
-        );
-        cluster.quiesce();
-        assert_serializability_invariants(&cluster, &cfg, &protocol.to_string());
+        for degree in [None, Some(3)] {
+            let cfg = contended_config();
+            let mut sim = sim_config(11, 4);
+            if let Some(degree) = degree {
+                sim.replication.degree = degree;
+            }
+            let label = format!("{protocol}, replication degree {}", sim.replication.degree);
+            let mut cluster = build_cluster(&cfg, NODES, protocol, sim);
+            let report = cluster.run(RunSpec::millis(1, 10));
+            assert!(
+                report.total_commits() > 100,
+                "{label}: too few commits — {}",
+                report.summary()
+            );
+            cluster.quiesce();
+            assert_serializability_invariants(&cluster, &cfg, &label);
+        }
     }
 }
 
