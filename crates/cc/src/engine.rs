@@ -35,7 +35,6 @@ use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::MetricSet;
 use chiller_common::rng::{derive_seed, seeded};
 use chiller_common::time::{Duration, SimTime};
-use chiller_common::value::Row;
 use chiller_obs::{EventKind, HistoryRecorder, Tracer};
 use chiller_simnet::{Actor, Ctx, Verb};
 use chiller_sproc::ExecState;
@@ -99,12 +98,6 @@ pub struct EngineParams {
     /// Observation recorder for serializability checking (disabled unless
     /// the cluster enables `CHILLER_CHECK`; see `chiller_obs::history`).
     pub recorder: HistoryRecorder,
-    /// Rows the engine loads into its own stores at `on_start` instead of
-    /// the builder loading them eagerly. On the threaded backend with
-    /// core pinning, `on_start` runs on the already-pinned engine thread,
-    /// so the first touch of the row memory lands on that core's NUMA
-    /// node. Empty (the default) means everything was loaded eagerly.
-    pub staged: StagedRows,
     /// Per-engine redo log, present iff the cluster runs durable
     /// (`ClusterBuilder::durable` / `CHILLER_WAL`). `None` keeps every
     /// logging site a single branch on this option — the same off-path
@@ -116,24 +109,6 @@ pub struct EngineParams {
     /// transactions leave no log trace, so scanning the WAL for the max
     /// used sequence would not be enough.
     pub txn_seq_start: u64,
-}
-
-/// Deferred initial rows for first-touch locality (see
-/// [`EngineParams::staged`]): primary rows for this node's own partition
-/// plus the replica rows it holds for other partitions.
-#[derive(Debug, Clone, Default)]
-pub struct StagedRows {
-    /// Rows of this node's primary partition.
-    pub primary: Vec<(RecordId, Row)>,
-    /// Rows of replicated partitions this node holds copies of.
-    pub replicas: Vec<(PartitionId, RecordId, Row)>,
-}
-
-impl StagedRows {
-    /// Whether there is nothing staged.
-    pub fn is_empty(&self) -> bool {
-        self.primary.is_empty() && self.replicas.is_empty()
-    }
 }
 
 /// Summary handed to the experiment harness after a run.
@@ -182,9 +157,6 @@ pub struct EngineActor {
     /// conflict so the coordinator re-resolves the placement. Bounded by
     /// the number of migrations out of this partition over the run.
     pub(crate) migrated_out: HashSet<RecordId>,
-    /// Initial rows deferred to `on_start` for first-touch locality
-    /// (drained on the first start; see [`EngineParams::staged`]).
-    staged: StagedRows,
     /// Redo log (durable clusters only; see [`EngineParams::wal`]).
     pub(crate) wal: Option<Wal>,
 }
@@ -216,7 +188,6 @@ impl EngineActor {
             mig_retries: HashMap::new(),
             mig_seq: 0,
             migrated_out: HashSet::new(),
-            staged: params.staged,
             wal: params.wal,
         }
     }
@@ -449,22 +420,6 @@ impl EngineActor {
 
 impl Actor<Msg> for EngineActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        // Load any staged rows first — on the threaded backend this
-        // thread is already pinned, so these first touches place the row
-        // memory on the local NUMA node. No message can have been handled
-        // yet, and remote reads arrive as messages, so the late load is
-        // invisible to the protocols.
-        if !self.staged.is_empty() {
-            for (rid, row) in std::mem::take(&mut self.staged.primary) {
-                self.store.load(rid, row);
-            }
-            for (p, rid, row) in std::mem::take(&mut self.staged.replicas) {
-                self.replicas
-                    .get_mut(&p)
-                    .expect("staged replica row for an unheld partition")
-                    .load(rid, row);
-            }
-        }
         // Stagger slot start-up slightly so engines do not phase-lock.
         for slot in 0..self.config.engine.concurrency {
             let jitter = (self.node.0 as u64 * 131 + slot as u64 * 57) % 997;

@@ -2,7 +2,7 @@
 //! drives online adaptation (monitor drain → replan → migration injection).
 
 use chiller_adaptive::{AdaptiveConfig, AdaptivePlanner, Directory, MigrationPlan};
-use chiller_cc::engine::{EngineActor, EngineParams, HotSet, StagedRows};
+use chiller_cc::engine::{EngineActor, EngineParams, HotSet};
 use chiller_cc::input::{InputSource, ProcRegistry};
 use chiller_cc::msg::Msg;
 use chiller_cc::Protocol;
@@ -14,8 +14,7 @@ use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
 use chiller_obs::{History, HistoryRecorder, HistorySink, TraceLog, TraceMode, TraceSink, Tracer};
 use chiller_simnet::{
-    AsyncConfig, AsyncRuntime, Backend, Ctx, MailboxKind, PinPolicy, Runtime, Simulation,
-    ThreadedConfig, ThreadedRuntime, DEFAULT_MAILBOX_CAPACITY,
+    AsyncConfig, AsyncRuntime, Backend, Ctx, Runtime, Simulation, ThreadedRuntime,
 };
 use chiller_sproc::Procedure;
 use chiller_storage::placement::{HashPlacement, Placement};
@@ -84,8 +83,6 @@ pub struct ClusterBuilder {
     source_factory: Option<SourceFactory>,
     adaptive: Option<AdaptiveConfig>,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
-    pin: Option<PinPolicy>,
     workers: Option<usize>,
     trace: Option<TraceMode>,
     check: Option<CheckMode>,
@@ -113,8 +110,6 @@ impl ClusterBuilder {
             source_factory: None,
             adaptive: None,
             backend: Backend::Simulated,
-            mailbox: None,
-            pin: None,
             workers: None,
             trace: None,
             check: None,
@@ -189,28 +184,6 @@ impl ClusterBuilder {
     /// the latter is one-thread-per-engine by definition).
     pub fn workers(&mut self, n: usize) -> &mut Self {
         self.workers = Some(n);
-        self
-    }
-
-    /// Select the threaded backend's mailbox implementation (lock-free
-    /// rings vs the `sync_channel` fallback). Defaults to the
-    /// `CHILLER_MAILBOX` environment knob (ring when unset); ignored by
-    /// the simulated backend.
-    pub fn mailbox(&mut self, kind: MailboxKind) -> &mut Self {
-        self.mailbox = Some(kind);
-        self
-    }
-
-    /// Select the threaded backend's core-pinning policy. With
-    /// [`PinPolicy::Cores`] every engine thread pins itself to one
-    /// allowed CPU before `on_start`, and the cluster's initial rows are
-    /// loaded *by the pinned engine threads* (first-touch NUMA locality)
-    /// instead of eagerly by this builder. Defaults to the `CHILLER_PIN`
-    /// environment knob (off when unset); ignored by the simulated
-    /// backend, and degrades to unpinned (reported via
-    /// `RunReport::pinned`) where `sched_setaffinity` is unavailable.
-    pub fn pin_threads(&mut self, policy: PinPolicy) -> &mut Self {
-        self.pin = Some(policy);
         self
     }
 
@@ -362,12 +335,8 @@ impl ClusterBuilder {
             })
             .collect();
 
-        // Threaded-backend tuning knobs resolve builder overrides first,
-        // then the environment (`CHILLER_MAILBOX` / `CHILLER_PIN`).
-        let mailbox = self.mailbox.unwrap_or_else(MailboxKind::from_env);
-        let pin = self.pin.unwrap_or_else(PinPolicy::from_env);
-
-        // Tracing resolves the same way (`CHILLER_TRACE` / `CHILLER_TRACE_BUF`).
+        // Tracing resolves builder overrides first, then the environment
+        // (`CHILLER_TRACE` / `CHILLER_TRACE_BUF`).
         // When off, no rings exist and every engine carries a no-op tracer.
         let trace_mode = self.trace.unwrap_or_else(TraceMode::from_env);
         let trace_buf = TraceMode::buf_from_env();
@@ -423,16 +392,6 @@ impl ClusterBuilder {
             d.snapshots.iter().any(Option::is_some) || d.log_lens.iter().any(|&l| l > 0)
         });
 
-        // With core pinning on the threaded backend, defer the initial
-        // loads to each engine's `on_start`: it runs on the already-pinned
-        // worker thread, so the first touch of every row lands on that
-        // core's NUMA node. Everywhere else, load eagerly as before. A
-        // recovering build always loads eagerly — recovery rewrites the
-        // loaded stores before any engine exists, and a deferred load
-        // would clobber the recovered state at `on_start`.
-        let stage_on_start =
-            self.backend == Backend::Threaded && pin == PinPolicy::Cores && !recovery_needed;
-        let mut staged: Vec<StagedRows> = (0..self.nodes).map(|_| StagedRows::default()).collect();
         for (rid, mut row) in self.records {
             let p = placement.partition_of(rid);
             if p.idx() >= self.nodes {
@@ -450,14 +409,13 @@ impl ClusterBuilder {
                     row.clone()
                 };
                 let node = (p.idx() + i) % self.nodes;
-                match (i, stage_on_start) {
-                    (0, true) => staged[node].primary.push((rid, copy)),
-                    (0, false) => primaries[node].load(rid, copy),
-                    (_, true) => staged[node].replicas.push((p, rid, copy)),
-                    (_, false) => replicas[node]
+                if i == 0 {
+                    primaries[node].load(rid, copy);
+                } else {
+                    replicas[node]
                         .get_mut(&p)
                         .expect("replica store allocated")
-                        .load(rid, copy),
+                        .load(rid, copy);
                 }
             }
         }
@@ -556,7 +514,6 @@ impl ClusterBuilder {
                 monitor,
                 tracer,
                 recorder,
-                staged: std::mem::take(&mut staged[n]),
                 wal: wals[n].take(),
                 txn_seq_start,
             }));
@@ -565,24 +522,15 @@ impl ClusterBuilder {
             Backend::Simulated => Box::new(Simulation::new(actors, self.config.network.clone())),
             // The threaded backend has no modelled network: latency is
             // whatever the host's mailboxes and scheduler deliver.
-            Backend::Threaded => Box::new(ThreadedRuntime::with_config(
-                actors,
-                ThreadedConfig {
-                    capacity: DEFAULT_MAILBOX_CAPACITY,
-                    mailbox,
-                    pin,
-                },
-            )),
+            Backend::Threaded => Box::new(ThreadedRuntime::new(actors)),
             // The async backend multiplexes the same engines onto a
             // fixed pool — also unmodelled wall clock, but sized for
             // partition counts far beyond the host's cores.
             Backend::Async => Box::new(AsyncRuntime::with_config(
                 actors,
                 AsyncConfig {
-                    capacity: DEFAULT_MAILBOX_CAPACITY,
-                    mailbox,
                     workers: self.workers,
-                    pin,
+                    ..AsyncConfig::default()
                 },
             )),
         };
@@ -895,9 +843,7 @@ impl Cluster {
             self.rt.backend(),
             elapsed,
             wall,
-            self.rt.pinned(),
             self.rt.workers(),
-            self.rt.mailbox_kind(),
             telemetry,
             self.rt.stats(),
             self.rt.actors().iter().map(EngineActor::report).collect(),

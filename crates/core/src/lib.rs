@@ -71,7 +71,7 @@ pub mod prelude {
     pub use chiller_common::time::{Duration, SimTime};
     pub use chiller_common::value::{Row, Value};
     pub use chiller_obs::{History, RuntimeTelemetry, TraceLog, TraceMode};
-    pub use chiller_simnet::{Backend, MailboxKind, PinPolicy};
+    pub use chiller_simnet::Backend;
     pub use chiller_sproc::{ProcedureBuilder, RegionSplit};
     pub use chiller_storage::placement::{
         ExplicitPlacement, HashPlacement, LookupTable, Placement, RangePlacement,

@@ -4,7 +4,7 @@ use chiller_cc::engine::EngineReport;
 use chiller_common::metrics::MetricSet;
 use chiller_common::time::Duration;
 use chiller_obs::RuntimeTelemetry;
-use chiller_simnet::{Backend, MailboxKind, NetStats};
+use chiller_simnet::{Backend, NetStats};
 use std::fmt::Write as _;
 
 /// Aggregated outcome of a measured window.
@@ -20,21 +20,11 @@ pub struct RunReport {
     /// backend this tracks `elapsed`; on the simulator it is the host
     /// time spent computing the virtual window.
     pub wall_elapsed: std::time::Duration,
-    /// Whether the engine threads were pinned to CPU cores during this
-    /// run (threaded backend with an active `PinPolicy` and a successful
-    /// `sched_setaffinity` on every worker). Always false on the
-    /// simulator, and false when pinning was requested but unavailable
-    /// (non-Linux, restricted cpusets) — so A/B rows labelled from this
-    /// field are honest about what actually ran.
-    pub pinned: bool,
     /// OS worker threads that drove the run: 0 on the simulator, one per
     /// engine on the threaded backend, the fixed pool size on the async
     /// backend. Distinguishes a 1000-engine run on 1000 threads from the
     /// same run multiplexed onto 4.
     pub workers: usize,
-    /// Mailbox implementation the run used (`None` on the simulator,
-    /// which routes messages through the event heap).
-    pub mailbox: Option<MailboxKind>,
     /// Runtime scheduler telemetry merged across workers/engines (empty
     /// defaults on the simulator — it has no scheduler).
     pub telemetry: RuntimeTelemetry,
@@ -47,14 +37,11 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn collect(
         backend: Backend,
         elapsed: Duration,
         wall_elapsed: std::time::Duration,
-        pinned: bool,
         workers: usize,
-        mailbox: Option<MailboxKind>,
         telemetry: RuntimeTelemetry,
         net: NetStats,
         per_node: Vec<EngineReport>,
@@ -67,9 +54,7 @@ impl RunReport {
             backend,
             elapsed,
             wall_elapsed,
-            pinned,
             workers,
-            mailbox,
             telemetry,
             metrics,
             net,
@@ -161,17 +146,16 @@ impl RunReport {
         )
     }
 
-    /// One-line human summary, self-describing about what ran: backend,
-    /// mailbox kind, and worker count lead the line so two summaries are
-    /// never compared across silently different configurations. When
+    /// One-line human summary, self-describing about what ran: backend
+    /// and worker count lead the line so two summaries are never
+    /// compared across silently different configurations. When
     /// observability rings overflowed, the line ends with a DEGRADED
     /// marker — an `incomplete` checker verdict must be visible here, not
     /// only in the raw report.
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "[{} backend, {} mailbox, {} workers] {:.0} txn/s, abort rate {:.3}, distributed {:.2}, mean latency {:.1}us (p99 {:.1}us), commits {}",
+            "[{} backend, {} workers] {:.0} txn/s, abort rate {:.3}, distributed {:.2}, mean latency {:.1}us (p99 {:.1}us), commits {}",
             self.backend.label(),
-            self.mailbox.map(MailboxKind::label).unwrap_or("no"),
             self.workers,
             self.throughput(),
             self.abort_rate(),
@@ -201,11 +185,9 @@ impl RunReport {
         let _ = writeln!(
             out,
             "# TYPE chiller_run_info gauge\n\
-             chiller_run_info{{backend=\"{}\",mailbox=\"{}\",workers=\"{}\",pinned=\"{}\"}} 1",
+             chiller_run_info{{backend=\"{}\",workers=\"{}\"}} 1",
             self.backend.label(),
-            self.mailbox.map(MailboxKind::label).unwrap_or("none"),
             self.workers,
-            self.pinned,
         );
         let _ = writeln!(
             out,

@@ -218,7 +218,7 @@ fn prometheus_dump_and_summary_are_self_describing() {
     assert!(prom.contains(&format!("chiller_commits_total {}", report.total_commits())));
     assert!(prom.contains(&format!("chiller_aborts_total {}", report.total_aborts())));
     assert!(prom.contains("chiller_aborts_by_reason_total{reason=\"no_wait_conflict\"}"));
-    assert!(prom.contains("chiller_run_info{backend=\"simulated\",mailbox=\"none\",workers=\"0\""));
+    assert!(prom.contains("chiller_run_info{backend=\"simulated\",workers=\"0\"} 1\n"));
     assert!(prom.contains("chiller_runtime_batches_drained"));
     assert!(prom.contains("chiller_runtime_timer_slop_ns_count 0"));
     assert!(prom.contains("chiller_runtime_trace_events_dropped 0"));
@@ -230,7 +230,7 @@ fn prometheus_dump_and_summary_are_self_describing() {
     }
     let summary = report.summary();
     assert!(
-        summary.starts_with("[simulated backend, no mailbox, 0 workers]"),
+        summary.starts_with("[simulated backend, 0 workers] "),
         "{summary}"
     );
 }

@@ -68,18 +68,16 @@
 //! thread has exclusive actor access, and in-flight messages, parked
 //! sends, armed timers and the ready queue itself survive the pause.
 
-use crate::affinity;
 use crate::runtime::{Actor, Backend, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
 use crate::sizing;
-use crate::threaded::{MailboxKind, PinPolicy, DEFAULT_MAILBOX_CAPACITY};
+use crate::threaded::DEFAULT_MAILBOX_CAPACITY;
 use crate::timer_wheel::TimerWheel;
 use chiller_common::ids::NodeId;
 use chiller_common::metrics::Histogram;
 use chiller_common::time::{Duration, SimTime};
 use chiller_obs::RuntimeTelemetry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -97,28 +95,21 @@ const EVENT_BATCH: usize = 64;
 #[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// Per-engine mailbox bound (messages). Rounded up to a power of two
-    /// by the ring mailboxes.
+    /// by the rings.
     pub capacity: usize,
-    /// Mailbox implementation (shared with the threaded backend).
-    pub mailbox: MailboxKind,
     /// Worker-pool size; `None` resolves `CHILLER_WORKERS` / detected
     /// parallelism via [`sizing::async_workers`]. Clamped to the engine
     /// count either way.
     pub workers: Option<usize>,
-    /// Core-pinning policy for the pool's workers.
-    pub pin: PinPolicy,
 }
 
 impl Default for AsyncConfig {
-    /// Defaults resolve the environment knobs: capacity
-    /// [`DEFAULT_MAILBOX_CAPACITY`], mailbox from `CHILLER_MAILBOX`,
-    /// workers from `CHILLER_WORKERS`, pinning from `CHILLER_PIN`.
+    /// Capacity [`DEFAULT_MAILBOX_CAPACITY`], workers from
+    /// `CHILLER_WORKERS`.
     fn default() -> Self {
         AsyncConfig {
             capacity: DEFAULT_MAILBOX_CAPACITY,
-            mailbox: MailboxKind::from_env(),
             workers: None,
-            pin: PinPolicy::from_env(),
         }
     }
 }
@@ -130,92 +121,16 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// Receiving end of an engine's mailbox. Unlike the threaded backend
-/// there is no SPSC fast path: any worker may run any sending engine, so
-/// every mailbox is multi-producer by construction.
-enum Inbox<M> {
-    /// `sync_channel` fallback.
-    Channel(Receiver<Envelope<M>>),
-    /// Lock-free MPSC ring.
-    Ring(ringq::mpsc::Consumer<Envelope<M>>),
-}
-
-/// Outcome of a non-blocking receive.
-enum Recv<M> {
-    Msg(Envelope<M>),
-    Empty,
-}
-
-impl<M> Inbox<M> {
-    /// Occupancy snapshot (rings only — `sync_channel` has no cheap
-    /// length, so the channel fallback reports 0 and the occupancy HWM
-    /// telemetry is a ring-mailbox feature, same as the threaded backend).
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Inbox::Channel(_) => 0,
-            Inbox::Ring(rx) => rx.len(),
-        }
-    }
-
-    #[inline]
-    fn try_recv(&mut self) -> Recv<M> {
-        match self {
-            // A disconnect is impossible while the runtime lives (the
-            // shared outboxes hold every sender), so it reads as Empty.
-            Inbox::Channel(rx) => match rx.try_recv() {
-                Ok(env) => Recv::Msg(env),
-                Err(_) => Recv::Empty,
-            },
-            Inbox::Ring(rx) => match rx.pop() {
-                Some(env) => Recv::Msg(env),
-                None => Recv::Empty,
-            },
-        }
-    }
-}
-
-/// Sending end of one destination's mailbox — **one shared instance per
-/// destination**, used by every sender concurrently (`ringq` producers
-/// push through `&self`; `SyncSender` is `Sync`). This is the O(n)
-/// outbox layout that replaces the threaded backend's O(n²) per-sender
-/// clone matrix.
-enum SharedOutbox<M> {
-    Channel(SyncSender<Envelope<M>>),
-    Ring(ringq::mpsc::Producer<Envelope<M>>),
-}
-
-/// Outcome of a non-blocking send.
-enum SendOutcome<M> {
-    Ok,
-    Full(Envelope<M>),
-}
-
-impl<M> SharedOutbox<M> {
-    #[inline]
-    fn try_send(&self, env: Envelope<M>) -> SendOutcome<M> {
-        match self {
-            SharedOutbox::Channel(tx) => match tx.try_send(env) {
-                Ok(()) => SendOutcome::Ok,
-                Err(TrySendError::Full(env)) => SendOutcome::Full(env),
-                // Teardown-only; dropping is harmless (mirrors threaded).
-                Err(TrySendError::Disconnected(_)) => SendOutcome::Ok,
-            },
-            SharedOutbox::Ring(tx) => match tx.push(env) {
-                Ok(()) => SendOutcome::Ok,
-                Err(env) => SendOutcome::Full(env),
-            },
-        }
-    }
-}
-
 /// Per-engine state that persists across run phases. While a phase runs
 /// it lives inside the engine's slot (owned by whichever worker holds
 /// the engine); between phases it moves back into the runtime so the
 /// control plane can reach it without locks.
 struct EngineState<M> {
     node: NodeId,
-    inbox: Inbox<M>,
+    /// This engine's mailbox. Unlike the threaded backend there is no
+    /// SPSC fast path: any worker may run any sending engine, so every
+    /// mailbox is multi-producer by construction.
+    inbox: ringq::mpsc::Consumer<Envelope<M>>,
     /// Remote sends parked until this engine's next flush, in send order
     /// across *all* destinations (global FIFO — see the module docs and
     /// the threaded backend's `NodeState::pending` for why per-
@@ -322,8 +237,11 @@ struct Shared<M> {
     /// Total events processed (published per engine turn — approximate
     /// while a turn is mid-flight).
     events: AtomicU64,
-    /// One shared sender per destination engine (O(n) total).
-    outboxes: Vec<SharedOutbox<M>>,
+    /// One shared sender per destination engine, used by every sender
+    /// concurrently (`ringq` producers push through `&self`): O(n)
+    /// outbox state instead of the threaded backend's O(n²) per-sender
+    /// clone matrix.
+    outboxes: Vec<ringq::mpsc::Producer<Envelope<M>>>,
     /// Per-engine scheduling state machines.
     scheds: Vec<taskq::SchedState>,
     /// Per-engine expired-timer tokens awaiting delivery (pushed by the
@@ -333,8 +251,6 @@ struct Shared<M> {
     queue: taskq::TaskQueue,
     /// One park slot per *worker* (not per engine).
     parkers: Vec<taskq::Parker>,
-    /// Set when any worker's `sched_setaffinity` call fails.
-    pin_failed: AtomicBool,
     /// Notifies that won the enqueue duty (engine went IDLE → QUEUED).
     notifies: AtomicU64,
     /// Turns that neither handled an event nor delivered a parked
@@ -396,16 +312,11 @@ pub struct AsyncRuntime<M, A> {
     shared: Shared<M>,
     nworkers: usize,
     started: bool,
-    mailbox: MailboxKind,
-    pin: PinPolicy,
-    /// CPUs the process may use (empty when pinning is off/unknown).
-    pin_cpus: Vec<usize>,
 }
 
 impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
     /// Build an async runtime over the given actors; actor `i` runs as
-    /// engine `NodeId(i)`. All knobs resolve from the environment (see
-    /// [`AsyncConfig::default`]).
+    /// engine `NodeId(i)`, with [`AsyncConfig::default`] options.
     pub fn new(actors: Vec<A>) -> Self {
         Self::with_config(actors, AsyncConfig::default())
     }
@@ -421,22 +332,8 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
             .workers
             .map(|w| w.clamp(1, n.max(1)))
             .unwrap_or_else(|| sizing::async_workers(n));
-        let mut inboxes: Vec<Inbox<M>> = Vec::with_capacity(n);
-        let mut outboxes: Vec<SharedOutbox<M>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            match cfg.mailbox {
-                MailboxKind::Channel => {
-                    let (tx, rx) = sync_channel(cfg.capacity);
-                    inboxes.push(Inbox::Channel(rx));
-                    outboxes.push(SharedOutbox::Channel(tx));
-                }
-                MailboxKind::Ring => {
-                    let (tx, rx) = ringq::mpsc::bounded(cfg.capacity);
-                    inboxes.push(Inbox::Ring(rx));
-                    outboxes.push(SharedOutbox::Ring(tx));
-                }
-            }
-        }
+        let (outboxes, inboxes): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| ringq::mpsc::bounded(cfg.capacity)).unzip();
         let states: Vec<EngineState<M>> = inboxes
             .into_iter()
             .enumerate()
@@ -451,10 +348,6 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
                 tel: RuntimeTelemetry::default(),
             })
             .collect();
-        let pin_cpus = match cfg.pin {
-            PinPolicy::Off => Vec::new(),
-            PinPolicy::Cores => affinity::allowed_cpus(),
-        };
         AsyncRuntime {
             actors,
             states,
@@ -475,22 +368,13 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
                 fires: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
                 queue: taskq::TaskQueue::new(nworkers),
                 parkers: (0..nworkers).map(|_| taskq::Parker::new()).collect(),
-                pin_failed: AtomicBool::new(false),
                 notifies: AtomicU64::new(0),
                 zero_progress_turns: AtomicU64::new(0),
                 lost_wakeups_avoided: AtomicU64::new(0),
             },
             nworkers,
             started: false,
-            mailbox: cfg.mailbox,
-            pin: cfg.pin,
-            pin_cpus,
         }
-    }
-
-    /// The mailbox implementation this runtime was built with.
-    pub fn mailbox_kind(&self) -> MailboxKind {
-        self.mailbox
     }
 
     /// The worker-pool size (fixed at construction).
@@ -539,11 +423,9 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
         }
         let shared = &self.shared;
         let slots = &self.slots;
-        let pin_cpus = &self.pin_cpus;
         std::thread::scope(|scope| {
             for (w, timers) in self.worker_timers.iter_mut().enumerate() {
-                let pin = (!pin_cpus.is_empty()).then(|| pin_cpus[w % pin_cpus.len()]);
-                scope.spawn(move || worker_loop(w, timers, shared, slots, pin));
+                scope.spawn(move || worker_loop(w, timers, shared, slots));
             }
         });
         // Reclaim the engines for the paused control plane.
@@ -559,15 +441,6 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
         }
         self.shared.events.load(Ordering::SeqCst) - before
     }
-
-    /// Whether this runtime's workers are pinned (same honesty contract
-    /// as the threaded backend: requested, resolvable, ran, never failed).
-    fn pinned_now(&self) -> bool {
-        self.pin == PinPolicy::Cores
-            && !self.pin_cpus.is_empty()
-            && self.started
-            && !self.shared.pin_failed.load(Ordering::Relaxed)
-    }
 }
 
 /// Push parked sends into their destination mailboxes in send order,
@@ -578,12 +451,12 @@ fn flush_pending<M>(st: &mut EngineState<M>, shared: &Shared<M>, w: usize) -> u6
     st.tel.parked_depth_hwm = st.tel.parked_depth_hwm.max(st.pending.len() as u64);
     let mut delivered = 0;
     while let Some((dst, env)) = st.pending.pop_front() {
-        match shared.outboxes[dst.idx()].try_send(env) {
-            SendOutcome::Ok => {
+        match shared.outboxes[dst.idx()].push(env) {
+            Ok(()) => {
                 delivered += 1;
                 shared.notify(dst.idx(), Some(w));
             }
-            SendOutcome::Full(env) => {
+            Err(env) => {
                 st.pending.push_front((dst, env));
                 st.tel.flush_stalls += 1;
                 break;
@@ -672,32 +545,19 @@ fn run_engine<M, A: Actor<M>>(
 
     // 2. Drain messages: self-sends first (no synchronization), then the
     //    shared inbox. `drained_dry` records whether we stopped because
-    //    the sources were empty (vs the batch budget) — the has_more
-    //    computation must not depend on peeking a channel.
+    //    the sources were empty (vs the batch budget).
     st.tel.ring_occupancy_hwm = st.tel.ring_occupancy_hwm.max(st.inbox.len() as u64);
     let mut drained_dry = false;
     while handled < EVENT_BATCH as u64 {
-        if let Some(env) = st.local.pop_front() {
-            st.stats.events_processed += 1;
-            handled += 1;
-            let mut mb = AsyncMailbox { st, timers, shared };
-            let mut ctx = Ctx::from_mailbox(&mut mb);
-            actor.on_message(&mut ctx, env.src, env.verb, env.msg);
-            continue;
-        }
-        match st.inbox.try_recv() {
-            Recv::Msg(env) => {
-                st.stats.events_processed += 1;
-                handled += 1;
-                let mut mb = AsyncMailbox { st, timers, shared };
-                let mut ctx = Ctx::from_mailbox(&mut mb);
-                actor.on_message(&mut ctx, env.src, env.verb, env.msg);
-            }
-            Recv::Empty => {
-                drained_dry = true;
-                break;
-            }
-        }
+        let Some(env) = st.local.pop_front().or_else(|| st.inbox.pop()) else {
+            drained_dry = true;
+            break;
+        };
+        st.stats.events_processed += 1;
+        handled += 1;
+        let mut mb = AsyncMailbox { st, timers, shared };
+        let mut ctx = Ctx::from_mailbox(&mut mb);
+        actor.on_message(&mut ctx, env.src, env.verb, env.msg);
     }
 
     // 3. Retire the batch and publish the delta *before* flushing, so
@@ -742,13 +602,7 @@ fn worker_loop<M, A: Actor<M>>(
     timers: &mut WorkerTimers,
     shared: &Shared<M>,
     slots: &[EngineSlot<M, A>],
-    pin: Option<usize>,
 ) {
-    if let Some(cpu) = pin {
-        if !affinity::pin_current_thread(cpu) {
-            shared.pin_failed.store(true, Ordering::Relaxed);
-        }
-    }
     shared.parkers[w].register();
     loop {
         let deadline = shared.deadline_ns.load(Ordering::SeqCst);
@@ -842,10 +696,6 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
         self.run_phase(u64::MAX, max_events)
     }
 
-    fn pinned(&self) -> bool {
-        self.pinned_now()
-    }
-
     fn workers(&self) -> usize {
         self.nworkers
     }
@@ -872,10 +722,6 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
         tel.zero_progress_turns = self.shared.zero_progress_turns.load(Ordering::Relaxed);
         tel.lost_wakeups_avoided = self.shared.lost_wakeups_avoided.load(Ordering::Relaxed);
         tel
-    }
-
-    fn mailbox_kind(&self) -> Option<MailboxKind> {
-        Some(self.mailbox)
     }
 
     fn with_actor_ctx(&mut self, node: NodeId, f: &mut dyn FnMut(&mut A, &mut Ctx<'_, M>)) {
@@ -1039,12 +885,10 @@ mod tests {
         }
     }
 
-    fn config(mailbox: MailboxKind, capacity: usize, workers: usize) -> AsyncConfig {
+    fn config(capacity: usize, workers: usize) -> AsyncConfig {
         AsyncConfig {
             capacity,
-            mailbox,
             workers: Some(workers),
-            pin: PinPolicy::Off,
         }
     }
 
@@ -1060,7 +904,7 @@ mod tests {
                     received: Vec::new(),
                 },
             ],
-            config(MailboxKind::Ring, 64, 2),
+            config(64, 2),
         );
         rt.run_to_quiescence(u64::MAX);
         assert_eq!(replies(&rt.actors()[0]), 500);
@@ -1070,33 +914,30 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_on_both_mailbox_kinds_and_any_pool_size() {
-        for kind in [MailboxKind::Ring, MailboxKind::Channel] {
-            for workers in [1usize, 2, 4] {
-                let mut actors = vec![
-                    TestActor::Pinger {
-                        count: 300,
-                        replies: 0,
-                    },
-                    TestActor::Echo {
-                        received: Vec::new(),
-                    },
-                ];
-                for _ in 0..3 {
-                    actors.push(TestActor::Recorder {
-                        received: Vec::new(),
-                    });
-                }
-                let mut rt = AsyncRuntime::with_config(actors, config(kind, 64, workers));
-                rt.run_to_quiescence(u64::MAX);
-                assert_eq!(
-                    replies(&rt.actors()[0]),
-                    300,
-                    "{kind} mailbox with {workers} workers lost replies"
-                );
-                assert_eq!(rt.mailbox_kind(), kind);
-                assert_eq!(rt.worker_count(), workers);
+    fn ping_pong_on_any_pool_size() {
+        for workers in [1usize, 2, 4] {
+            let mut actors = vec![
+                TestActor::Pinger {
+                    count: 300,
+                    replies: 0,
+                },
+                TestActor::Echo {
+                    received: Vec::new(),
+                },
+            ];
+            for _ in 0..3 {
+                actors.push(TestActor::Recorder {
+                    received: Vec::new(),
+                });
             }
+            let mut rt = AsyncRuntime::with_config(actors, config(64, workers));
+            rt.run_to_quiescence(u64::MAX);
+            assert_eq!(
+                replies(&rt.actors()[0]),
+                300,
+                "{workers} workers lost replies"
+            );
+            assert_eq!(rt.worker_count(), workers);
         }
     }
 
@@ -1106,25 +947,23 @@ mod tests {
     #[test]
     fn per_link_fifo_survives_mailbox_overflow() {
         let n = 500u64;
-        for kind in [MailboxKind::Ring, MailboxKind::Channel] {
-            let mut rt = AsyncRuntime::with_config(
-                vec![
-                    TestActor::Pinger {
-                        count: n,
-                        replies: 0,
-                    },
-                    TestActor::Recorder {
-                        received: Vec::new(),
-                    },
-                ],
-                config(kind, 4, 2),
-            );
-            rt.run_to_quiescence(u64::MAX);
-            let TestActor::Recorder { received } = &rt.actors()[1] else {
-                panic!("node 1 is the recorder");
-            };
-            assert_eq!(received, &(0..n).collect::<Vec<_>>(), "{kind} reordered");
-        }
+        let mut rt = AsyncRuntime::with_config(
+            vec![
+                TestActor::Pinger {
+                    count: n,
+                    replies: 0,
+                },
+                TestActor::Recorder {
+                    received: Vec::new(),
+                },
+            ],
+            config(4, 2),
+        );
+        rt.run_to_quiescence(u64::MAX);
+        let TestActor::Recorder { received } = &rt.actors()[1] else {
+            panic!("node 1 is the recorder");
+        };
+        assert_eq!(received, &(0..n).collect::<Vec<_>>(), "reordered");
     }
 
     /// 1000 engines on a 4-worker pool: the multiplexing headline in
@@ -1141,7 +980,7 @@ mod tests {
                 received: 0,
             })
             .collect();
-        let mut rt = AsyncRuntime::with_config(actors, config(MailboxKind::Ring, 64, 4));
+        let mut rt = AsyncRuntime::with_config(actors, config(64, 4));
         rt.with_actor_ctx(NodeId(0), &mut |_a, ctx| {
             ctx.send(NodeId(1), Verb::OneSided, hops - 1);
         });
@@ -1171,7 +1010,7 @@ mod tests {
                     received: 0,
                 },
             ],
-            config(MailboxKind::Ring, 64, 2),
+            config(64, 2),
         );
         rt.with_actor_ctx(NodeId(0), &mut |_a, ctx| {
             ctx.send(NodeId(1), Verb::OneSided, hops - 1);
@@ -1196,7 +1035,7 @@ mod tests {
                 limit: 20,
                 delay_ns: 50_000,
             }],
-            config(MailboxKind::Ring, 64, 1),
+            config(64, 1),
         );
         let start = rt.now();
         rt.run_until(start + Duration::from_micros(300));
@@ -1224,7 +1063,7 @@ mod tests {
                     received: Vec::new(),
                 },
             ],
-            config(MailboxKind::Ring, 64, 2),
+            config(64, 2),
         );
         rt.run_to_quiescence(u64::MAX);
         rt.with_actor_ctx(NodeId(0), &mut |_a, ctx| {
@@ -1247,7 +1086,7 @@ mod tests {
                 limit: u64::MAX,
                 delay_ns: 50_000,
             }],
-            config(MailboxKind::Ring, 64, 1),
+            config(64, 1),
         );
         rt.run_to_quiescence(10);
         let TestActor::Ticker { fired, .. } = rt.actors()[0] else {
@@ -1265,7 +1104,7 @@ mod tests {
                 limit: u64::MAX,
                 delay_ns: 0,
             }],
-            config(MailboxKind::Ring, 64, 1),
+            config(64, 1),
         );
         rt.run_to_quiescence(1_000);
         let TestActor::Ticker { fired, .. } = rt.actors()[0] else {
@@ -1290,7 +1129,7 @@ mod tests {
                     received: Vec::new(),
                 },
             ],
-            config(MailboxKind::Ring, 2, 2),
+            config(2, 2),
         );
         rt.run_to_quiescence(u64::MAX);
         let tel = Runtime::telemetry(&rt);
@@ -1302,11 +1141,6 @@ mod tests {
             "every drained batch rode a popped task"
         );
         assert!(tel.notifies > 0, "deliveries must have enqueued engines");
-        assert_eq!(
-            Runtime::mailbox_kind(&rt),
-            Some(MailboxKind::Ring),
-            "trait reports the mailbox it was built with"
-        );
 
         let mut ticker = AsyncRuntime::with_config(
             vec![TestActor::Ticker {
@@ -1314,7 +1148,7 @@ mod tests {
                 limit: 10,
                 delay_ns: 30_000,
             }],
-            config(MailboxKind::Ring, 64, 1),
+            config(64, 1),
         );
         ticker.run_to_quiescence(u64::MAX);
         let tel = Runtime::telemetry(&ticker);
@@ -1327,7 +1161,7 @@ mod tests {
             vec![TestActor::Recorder {
                 received: Vec::new(),
             }],
-            config(MailboxKind::Ring, 64, 1),
+            config(64, 1),
         );
         let a = rt.now();
         let b = rt.now();

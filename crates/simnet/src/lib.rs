@@ -10,8 +10,8 @@
 //!   classes (one-sided verbs vs RPCs vs local), NIC bypass, per-link
 //!   FIFO, an engine CPU model — and makes reruns bit-identical, so it
 //!   serves as the correctness and paper-parity **oracle**.
-//! * [`ThreadedRuntime`] — one OS thread per node with bounded mpsc
-//!   mailboxes and a monotonic wall clock. No modelled latencies: it
+//! * [`ThreadedRuntime`] — one OS thread per node with bounded lock-free
+//!   ring mailboxes and a monotonic wall clock. No modelled latencies: it
 //!   measures what the machine actually sustains, so it serves as the
 //!   hardware **benchmark** path.
 //! * [`AsyncRuntime`] — a fixed worker pool multiplexing every node over
@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod async_rt;
 pub mod runtime;
 pub mod sim;
@@ -36,7 +35,5 @@ pub mod timer_wheel;
 pub use async_rt::{AsyncConfig, AsyncRuntime};
 pub use runtime::{Actor, Backend, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
 pub use sim::Simulation;
-pub use threaded::{
-    MailboxKind, PinPolicy, ThreadedConfig, ThreadedRuntime, DEFAULT_MAILBOX_CAPACITY,
-};
+pub use threaded::{ThreadedRuntime, DEFAULT_MAILBOX_CAPACITY};
 pub use timer_wheel::TimerWheel;

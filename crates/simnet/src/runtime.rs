@@ -266,14 +266,6 @@ pub trait Runtime<M, A: Actor<M>>: Clock {
     /// Returns the number of events processed.
     fn run_to_quiescence(&mut self, max_events: u64) -> u64;
 
-    /// Whether this runtime's worker threads are pinned to CPU cores.
-    /// Always false on the simulator (there are no worker threads); the
-    /// threaded backend reports true once a phase has run with an active
-    /// pin policy and no `sched_setaffinity` failure.
-    fn pinned(&self) -> bool {
-        false
-    }
-
     /// Number of OS worker threads that drive a run phase: 0 on the
     /// simulator (it runs on the calling thread), one per engine on the
     /// threaded backend, the fixed pool size on the async backend. Lets
@@ -290,13 +282,6 @@ pub trait Runtime<M, A: Actor<M>>: Clock {
     /// exact by construction.
     fn telemetry(&self) -> chiller_obs::RuntimeTelemetry {
         chiller_obs::RuntimeTelemetry::default()
-    }
-
-    /// Mailbox implementation in use, for self-describing reports. `None`
-    /// on the simulator (messages travel through the event heap, not
-    /// mailboxes).
-    fn mailbox_kind(&self) -> Option<crate::threaded::MailboxKind> {
-        None
     }
 
     /// Run `f` against one actor with a live [`Ctx`], outside normal event

@@ -1,6 +1,5 @@
 //! The real multi-threaded backend: one OS thread per node, lock-free
-//! ring (or bounded mpsc channel) mailboxes, a monotonic wall clock,
-//! optional core pinning.
+//! ring mailboxes, a monotonic wall clock.
 //!
 //! Where the simulator *models* a cluster (virtual latencies, CPU
 //! charges), this backend *is* one — each [`Actor`] runs on its own
@@ -10,22 +9,20 @@
 //!
 //! * **Clock** — monotonic wall-clock nanoseconds since runtime creation
 //!   (the `SimTime` values actors see are real elapsed time).
-//! * **Send** — one bounded mailbox per node, selected by
-//!   [`MailboxKind`]: a lock-free sequence-slot ring (`ringq::mpsc`,
-//!   default — no mutex anywhere on the message path, with an SPSC
-//!   fast-path ring for topologies whose mailboxes have a single
-//!   producer) or the `std::sync::mpsc::sync_channel` fallback. Sends
-//!   never block and never touch the mailbox mid-handler: remote sends
-//!   park in a local queue flushed once per worker-loop batch, and
-//!   self-sends go to a zero-synchronization local queue that never
-//!   touches a mailbox at all. Cyclic protocols (engine A mid-handler
-//!   sending to B while B sends to A) cannot deadlock. The flush
-//!   preserves not just per-link FIFO but each sender's *global* send
-//!   order across destinations (stalling at a full mailbox instead of
-//!   skipping it) — protocols build happens-before chains through third
-//!   nodes that a weaker ordering would break. Both mailbox kinds also
-//!   preserve *cross-sender arrival order* at each destination (the ring
-//!   by consuming tickets in claim order), which the replication path
+//! * **Send** — one bounded lock-free sequence-slot ring per node
+//!   (`ringq::mpsc` — no mutex anywhere on the message path), with an
+//!   SPSC fast-path ring for topologies whose mailboxes have a single
+//!   producer. Sends never block and never touch the mailbox
+//!   mid-handler: remote sends park in a local queue flushed once per
+//!   worker-loop batch, and self-sends go to a zero-synchronization local
+//!   queue that never touches a mailbox at all. Cyclic protocols (engine
+//!   A mid-handler sending to B while B sends to A) cannot deadlock. The
+//!   flush preserves not just per-link FIFO but each sender's *global*
+//!   send order across destinations (stalling at a full mailbox instead
+//!   of skipping it) — protocols build happens-before chains through
+//!   third nodes that a weaker ordering would break. The ring also
+//!   preserves *cross-sender arrival order* at each destination (by
+//!   consuming tickets in claim order), which the replication path
 //!   additionally relies on — see DESIGN.md §11 for why per-link rings
 //!   without that merge order would diverge replicas.
 //! * **Wakeup** — rings have no blocking receive, so idle workers use a
@@ -33,18 +30,10 @@
 //!   mailbox, then parks with a bounded timeout; a producer that fills a
 //!   sleeping destination's mailbox unparks it. A missed wakeup is
 //!   impossible to *lose* (the flag handshake) and at worst costs one
-//!   park timeout (`MAX_PARK_NS`, 200µs). The channel fallback keeps using
-//!   `recv_timeout`, whose condvar provides the same wakeup.
+//!   park timeout (`MAX_PARK_NS`, 200µs).
 //! * **Timers** — a per-thread hashed [`TimerWheel`]; the worker sleeps
 //!   until *short of* the next due time and spins the final approach,
 //!   keeping timer slop well below the OS sleep granularity.
-//! * **Pinning** — with [`PinPolicy::Cores`], every engine thread pins
-//!   itself to one allowed CPU (`sched_setaffinity` via
-//!   [`crate::affinity`], Linux only, off by default) before running
-//!   `on_start`, so engine-thread cache/NUMA locality is stable and
-//!   first-touch allocations made during `on_start` land on the pinned
-//!   core's NUMA node. On non-Linux hosts the policy degrades to "not
-//!   pinned" without error.
 //! * **`use_cpu`** — a no-op: real CPU is consumed by actually executing
 //!   the handler.
 //!
@@ -57,10 +46,10 @@
 //! event counter — is accumulated in thread-local deltas and published
 //! once per batch. On a contended host this turns the per-message cost
 //! from several cross-core atomics plus a possible futex wake into plain
-//! local arithmetic for all but the last message of each batch. With ring
-//! mailboxes the remaining per-message cost is one claim-CAS at the
-//! sender and two slot-sequence accesses — no mutex, no syscall unless
-//! the destination is actually asleep.
+//! local arithmetic for all but the last message of each batch. The
+//! remaining per-message cost is one claim-CAS at the sender and two
+//! slot-sequence accesses — no mutex, no syscall unless the destination
+//! is actually asleep.
 //!
 //! ## Run phases and quiescence
 //!
@@ -85,7 +74,6 @@
 //! whose registration is still pending, and un-retired batch messages
 //! hold the count positive throughout.
 
-use crate::affinity;
 use crate::runtime::{Actor, Backend, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
 use crate::timer_wheel::TimerWheel;
 use chiller_common::ids::NodeId;
@@ -93,7 +81,6 @@ use chiller_common::time::{Duration, SimTime};
 use chiller_obs::RuntimeTelemetry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -127,112 +114,6 @@ const SPIN_BEFORE_SLEEP_NS: u64 = 50_000;
 /// worker's core even though the cluster itself is not oversubscribed).
 const SPIN_YIELD_EVERY: u32 = 64;
 
-/// Which mailbox implementation the threaded backend's nodes use.
-///
-/// Both kinds deliver identical ordering guarantees (per-link FIFO *and*
-/// cross-sender arrival order per destination); they differ only in cost.
-/// The kind is normally taken from the `CHILLER_MAILBOX` environment
-/// variable (see [`MailboxKind::from_env`]) so stress suites and benches
-/// can A/B them without code changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MailboxKind {
-    /// Lock-free bounded rings (`ringq`): a sequence-slot MPSC ring per
-    /// node, or an SPSC ring when the topology gives the mailbox a single
-    /// producer (≤ 2 nodes). The default.
-    #[default]
-    Ring,
-    /// `std::sync::mpsc::sync_channel` per node — the PR-3/4 mailbox,
-    /// kept as a live fallback and differential-testing oracle. Takes a
-    /// mutex per send/recv.
-    Channel,
-}
-
-impl MailboxKind {
-    /// Read `CHILLER_MAILBOX` (`ring` | `channel`); unset means
-    /// [`MailboxKind::Ring`]. Panics on an unrecognized value — silently
-    /// measuring the wrong mailbox would poison every A/B number.
-    pub fn from_env() -> Self {
-        match std::env::var("CHILLER_MAILBOX") {
-            Ok(v) if v == "ring" => MailboxKind::Ring,
-            Ok(v) if v == "channel" => MailboxKind::Channel,
-            Ok(other) => panic!("CHILLER_MAILBOX must be `ring` or `channel`, got `{other}`"),
-            Err(_) => MailboxKind::Ring,
-        }
-    }
-
-    /// Stable label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            MailboxKind::Ring => "ring",
-            MailboxKind::Channel => "channel",
-        }
-    }
-}
-
-impl std::fmt::Display for MailboxKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Whether engine threads pin themselves to CPUs.
-///
-/// Off by default: pinning helps when the cluster has the machine to
-/// itself and hurts when it shares cores. Normally taken from the
-/// `CHILLER_PIN` environment variable (see [`PinPolicy::from_env`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PinPolicy {
-    /// Leave thread placement to the OS scheduler. The default.
-    #[default]
-    Off,
-    /// Pin worker `i` to the `i`-th CPU of the process's allowed set
-    /// (round-robin when there are more workers than CPUs), each phase,
-    /// before `on_start` runs — so first-touch allocations made by
-    /// `on_start` land on the pinned core's NUMA node. Linux only; on
-    /// other platforms (or when `sched_setaffinity` fails) the run
-    /// proceeds unpinned and reports `pinned = false`.
-    Cores,
-}
-
-impl PinPolicy {
-    /// Read `CHILLER_PIN` (`1`/`true`/`cores` → [`PinPolicy::Cores`];
-    /// `0`/`false` or unset → [`PinPolicy::Off`]). Panics on an
-    /// unrecognized value.
-    pub fn from_env() -> Self {
-        match std::env::var("CHILLER_PIN") {
-            Ok(v) if v == "1" || v == "true" || v == "cores" => PinPolicy::Cores,
-            Ok(v) if v == "0" || v == "false" => PinPolicy::Off,
-            Ok(other) => panic!("CHILLER_PIN must be 0/1/true/false/cores, got `{other}`"),
-            Err(_) => PinPolicy::Off,
-        }
-    }
-}
-
-/// Construction options for a [`ThreadedRuntime`].
-#[derive(Debug, Clone)]
-pub struct ThreadedConfig {
-    /// Per-node mailbox bound (messages). Rounded up to a power of two by
-    /// the ring mailboxes.
-    pub capacity: usize,
-    /// Mailbox implementation.
-    pub mailbox: MailboxKind,
-    /// Core-pinning policy.
-    pub pin: PinPolicy,
-}
-
-impl Default for ThreadedConfig {
-    /// Defaults resolve the environment knobs: capacity
-    /// [`DEFAULT_MAILBOX_CAPACITY`], mailbox from `CHILLER_MAILBOX`
-    /// (default ring), pinning from `CHILLER_PIN` (default off).
-    fn default() -> Self {
-        ThreadedConfig {
-            capacity: DEFAULT_MAILBOX_CAPACITY,
-            mailbox: MailboxKind::from_env(),
-            pin: PinPolicy::from_env(),
-        }
-    }
-}
-
 /// A message in flight between two nodes.
 struct Envelope<M> {
     src: NodeId,
@@ -240,14 +121,14 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// Per-node wakeup slot for the ring mailboxes (rings have no blocking
-/// receive). The worker registers its thread handle each phase; the
-/// `sleeping` flag makes the park/unpark handshake race-free in the
-/// direction that matters: a producer that pushes *after* the consumer
-/// published `sleeping = true` observes the flag and unparks; a producer
-/// that pushed *before* is observed by the consumer's mailbox re-check
-/// between publishing the flag and parking. Any residual interleaving is
-/// bounded by the park timeout, never lost.
+/// Per-node wakeup slot (rings have no blocking receive). The worker
+/// registers its thread handle each phase; the `sleeping` flag makes the
+/// park/unpark handshake race-free in the direction that matters: a
+/// producer that pushes *after* the consumer published `sleeping = true`
+/// observes the flag and unparks; a producer that pushed *before* is
+/// observed by the consumer's mailbox re-check between publishing the
+/// flag and parking. Any residual interleaving is bounded by the park
+/// timeout, never lost.
 #[derive(Default)]
 struct Parker {
     /// True from just before the worker's pre-park mailbox re-check until
@@ -292,11 +173,8 @@ struct Shared {
     /// host has at least one core per worker, i.e. spinning cannot starve
     /// another worker that has real work.
     spin_allowed: bool,
-    /// One wakeup slot per node (used by the ring mailboxes).
+    /// One wakeup slot per node.
     parkers: Vec<Parker>,
-    /// Set when any worker's `sched_setaffinity` call fails; a run
-    /// reports `pinned` only if pinning was requested and never failed.
-    pin_failed: AtomicBool,
 }
 
 impl Shared {
@@ -313,97 +191,54 @@ impl Shared {
 
 /// Receiving end of a node's mailbox.
 enum Inbox<M> {
-    /// `sync_channel` fallback.
-    Channel(Receiver<Envelope<M>>),
-    /// Lock-free MPSC ring (many senders).
-    RingMpsc(ringq::mpsc::Consumer<Envelope<M>>),
-    /// Lock-free SPSC ring (topology guarantees a single sender).
-    RingSpsc(ringq::spsc::Consumer<Envelope<M>>),
-}
-
-/// Outcome of a non-blocking receive.
-enum Recv<M> {
-    Msg(Envelope<M>),
-    Empty,
-    /// Channel teardown (rings never disconnect).
-    Disconnected,
+    /// MPSC ring (many senders).
+    Mpsc(ringq::mpsc::Consumer<Envelope<M>>),
+    /// SPSC ring (topology guarantees a single sender).
+    Spsc(ringq::spsc::Consumer<Envelope<M>>),
 }
 
 impl<M> Inbox<M> {
     #[inline]
-    fn try_recv(&mut self) -> Recv<M> {
+    fn pop(&mut self) -> Option<Envelope<M>> {
         match self {
-            Inbox::Channel(rx) => match rx.try_recv() {
-                Ok(env) => Recv::Msg(env),
-                Err(std::sync::mpsc::TryRecvError::Empty) => Recv::Empty,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => Recv::Disconnected,
-            },
-            Inbox::RingMpsc(rx) => match rx.pop() {
-                Some(env) => Recv::Msg(env),
-                None => Recv::Empty,
-            },
-            Inbox::RingSpsc(rx) => match rx.pop() {
-                Some(env) => Recv::Msg(env),
-                None => Recv::Empty,
-            },
+            Inbox::Mpsc(rx) => rx.pop(),
+            Inbox::Spsc(rx) => rx.pop(),
         }
     }
 
-    /// Whether a message is poppable right now (rings only; the channel
-    /// fallback never parks, so it never asks).
+    /// Whether a message is poppable right now.
     #[inline]
     fn has_ready(&self) -> bool {
         match self {
-            Inbox::Channel(_) => false,
-            Inbox::RingMpsc(rx) => rx.has_ready(),
-            Inbox::RingSpsc(rx) => rx.has_ready(),
+            Inbox::Mpsc(rx) => rx.has_ready(),
+            Inbox::Spsc(rx) => rx.has_ready(),
         }
     }
 
-    /// Approximate occupancy (rings only — the channel exposes no length).
-    /// Feeds the `ring_occupancy_hwm` telemetry gauge.
+    /// Approximate occupancy. Feeds the `ring_occupancy_hwm` telemetry
+    /// gauge.
     #[inline]
     fn len(&self) -> usize {
         match self {
-            Inbox::Channel(_) => 0,
-            Inbox::RingMpsc(rx) => rx.len(),
-            Inbox::RingSpsc(rx) => rx.len(),
+            Inbox::Mpsc(rx) => rx.len(),
+            Inbox::Spsc(rx) => rx.len(),
         }
     }
 }
 
 /// Sending end of one destination's mailbox, held by every other node.
 enum Outbox<M> {
-    Channel(SyncSender<Envelope<M>>),
-    RingMpsc(ringq::mpsc::Producer<Envelope<M>>),
-    RingSpsc(ringq::spsc::Producer<Envelope<M>>),
-}
-
-/// Outcome of a non-blocking send.
-enum SendOutcome<M> {
-    Ok,
-    Full(Envelope<M>),
-    /// Channel teardown (rings never disconnect).
-    Disconnected,
+    Mpsc(ringq::mpsc::Producer<Envelope<M>>),
+    Spsc(ringq::spsc::Producer<Envelope<M>>),
 }
 
 impl<M> Outbox<M> {
+    /// Non-blocking push; a full ring hands the envelope back.
     #[inline]
-    fn try_send(&mut self, env: Envelope<M>) -> SendOutcome<M> {
+    fn push(&mut self, env: Envelope<M>) -> Result<(), Envelope<M>> {
         match self {
-            Outbox::Channel(tx) => match tx.try_send(env) {
-                Ok(()) => SendOutcome::Ok,
-                Err(TrySendError::Full(env)) => SendOutcome::Full(env),
-                Err(TrySendError::Disconnected(_)) => SendOutcome::Disconnected,
-            },
-            Outbox::RingMpsc(tx) => match tx.push(env) {
-                Ok(()) => SendOutcome::Ok,
-                Err(env) => SendOutcome::Full(env),
-            },
-            Outbox::RingSpsc(tx) => match tx.push(env) {
-                Ok(()) => SendOutcome::Ok,
-                Err(env) => SendOutcome::Full(env),
-            },
+            Outbox::Mpsc(tx) => tx.push(env),
+            Outbox::Spsc(tx) => tx.push(env),
         }
     }
 }
@@ -414,10 +249,8 @@ struct NodeState<M> {
     node: NodeId,
     inbox: Inbox<M>,
     /// Senders to every node's mailbox (index = destination node). The
-    /// entry at this node's own index is never used to send — self-sends
-    /// bypass mailboxes — and is `None` for the ring kinds; the channel
-    /// kind keeps a (unused) self-sender there so a single-node cluster's
-    /// receiver does not observe a spurious disconnect.
+    /// entry at this node's own index is `None`: self-sends bypass
+    /// mailboxes.
     txs: Vec<Option<Outbox<M>>>,
     /// Armed timers, hashed by due tick (see [`TimerWheel`]).
     timers: TimerWheel,
@@ -472,66 +305,46 @@ impl<M> NodeState<M> {
             let tx = self.txs[dst.idx()]
                 .as_mut()
                 .expect("remote send routed to the sender's own mailbox");
-            match tx.try_send(env) {
-                SendOutcome::Ok => {
+            match tx.push(env) {
+                Ok(()) => {
                     if shared.parkers[dst.idx()].wake() {
                         self.tel.unparks += 1;
                     }
                 }
-                SendOutcome::Full(env) => {
+                Err(env) => {
                     self.pending.push_front((dst, env));
                     self.tel.flush_stalls += 1;
                     break;
                 }
-                // Receivers live as long as the runtime; a disconnect can
-                // only mean teardown, where dropping is harmless.
-                SendOutcome::Disconnected => {}
             }
         }
     }
 
-    /// Block until a message arrives, `sleep_ns` passes, or (channel
-    /// only) the mailbox disconnects. The mailbox kinds wait differently:
-    /// the channel blocks in `recv_timeout` (its condvar is the wakeup),
-    /// the rings use the [`Parker`] handshake. Either way the wait is
-    /// bounded, so deadline/quiescence re-checks at the loop top are
-    /// never starved.
-    fn await_message(&mut self, shared: &Shared, sleep_ns: u64) -> Recv<M> {
-        match &mut self.inbox {
-            Inbox::Channel(rx) => {
-                self.tel.parks += 1;
-                match rx.recv_timeout(std::time::Duration::from_nanos(sleep_ns)) {
-                    Ok(env) => Recv::Msg(env),
-                    Err(RecvTimeoutError::Timeout) => Recv::Empty,
-                    Err(RecvTimeoutError::Disconnected) => Recv::Disconnected,
-                }
-            }
-            Inbox::RingMpsc(_) | Inbox::RingSpsc(_) => {
-                let parker = &shared.parkers[self.node.idx()];
-                parker.sleeping.store(true, Ordering::SeqCst);
-                // Re-check after publishing the flag: a producer that
-                // pushed before the store cannot have seen it, so it falls
-                // to us to notice the message; one that pushes after will
-                // see the flag and unpark us.
-                if self.inbox.has_ready() {
-                    parker.sleeping.store(false, Ordering::Relaxed);
-                    // A producer pushed in the publish-recheck window: the
-                    // handshake just prevented a lost wakeup.
-                    self.tel.lost_wakeups_avoided += 1;
-                    return Recv::Empty;
-                }
-                if shared.outstanding.load(Ordering::SeqCst) == 0 {
-                    parker.sleeping.store(false, Ordering::Relaxed);
-                    return Recv::Empty;
-                }
-                self.tel.parks += 1;
-                std::thread::park_timeout(std::time::Duration::from_nanos(sleep_ns));
-                parker.sleeping.store(false, Ordering::Relaxed);
-                // Let the worker loop re-drain; an extra iteration is
-                // cheaper than duplicating the batch path here.
-                Recv::Empty
-            }
+    /// Park until a producer wakes this worker or `sleep_ns` passes,
+    /// using the [`Parker`] handshake. The wait is bounded, so
+    /// deadline/quiescence re-checks at the loop top are never starved,
+    /// and the loop top re-drains whatever arrived.
+    fn park(&mut self, shared: &Shared, sleep_ns: u64) {
+        let parker = &shared.parkers[self.node.idx()];
+        parker.sleeping.store(true, Ordering::SeqCst);
+        // Re-check after publishing the flag: a producer that pushed
+        // before the store cannot have seen it, so it falls to us to
+        // notice the message; one that pushes after will see the flag and
+        // unpark us.
+        if self.inbox.has_ready() {
+            parker.sleeping.store(false, Ordering::Relaxed);
+            // A producer pushed in the publish-recheck window: the
+            // handshake just prevented a lost wakeup.
+            self.tel.lost_wakeups_avoided += 1;
+            return;
         }
+        if shared.outstanding.load(Ordering::SeqCst) == 0 {
+            parker.sleeping.store(false, Ordering::Relaxed);
+            return;
+        }
+        self.tel.parks += 1;
+        std::thread::park_timeout(std::time::Duration::from_nanos(sleep_ns));
+        parker.sleeping.store(false, Ordering::Relaxed);
     }
 }
 
@@ -542,82 +355,44 @@ pub struct ThreadedRuntime<M, A> {
     states: Vec<NodeState<M>>,
     shared: Shared,
     started: bool,
-    mailbox: MailboxKind,
-    pin: PinPolicy,
-    /// CPUs the process may use (resolved once; empty when unknown or
-    /// pinning is off). Worker `i` pins to `pin_cpus[i % len]`.
-    pin_cpus: Vec<usize>,
 }
 
 impl<M: Send, A: Actor<M> + Send> ThreadedRuntime<M, A> {
     /// Build a threaded runtime over the given actors; actor `i` runs on
-    /// `NodeId(i)`. Mailbox kind and pin policy resolve from the
-    /// environment (see [`ThreadedConfig::default`]).
+    /// `NodeId(i)`. Mailboxes hold [`DEFAULT_MAILBOX_CAPACITY`] messages.
     pub fn new(actors: Vec<A>) -> Self {
-        Self::with_config(actors, ThreadedConfig::default())
+        Self::with_mailbox_capacity(actors, DEFAULT_MAILBOX_CAPACITY)
     }
 
-    /// Build with an explicit per-node mailbox bound (environment
-    /// defaults for everything else).
+    /// Build with an explicit per-node mailbox bound (messages, rounded
+    /// up to a power of two by the rings).
     pub fn with_mailbox_capacity(actors: Vec<A>, capacity: usize) -> Self {
-        Self::with_config(
-            actors,
-            ThreadedConfig {
-                capacity,
-                ..ThreadedConfig::default()
-            },
-        )
-    }
-
-    /// Build with explicit options.
-    pub fn with_config(actors: Vec<A>, cfg: ThreadedConfig) -> Self {
-        assert!(
-            cfg.capacity >= 1,
-            "mailboxes must hold at least one message"
-        );
+        assert!(capacity >= 1, "mailboxes must hold at least one message");
         let n = actors.len();
         let mut inboxes: Vec<Inbox<M>> = Vec::with_capacity(n);
         let mut txs_per_node: Vec<Vec<Option<Outbox<M>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        match cfg.mailbox {
-            MailboxKind::Channel => {
-                for dst in 0..n {
-                    let (tx, rx) = sync_channel(cfg.capacity);
-                    inboxes.push(Inbox::Channel(rx));
-                    // Every slot gets a sender — including dst's own,
-                    // which is never used to send (self-sends bypass
-                    // mailboxes) but keeps the channel connected: a
-                    // single-node cluster would otherwise drop the only
-                    // sender and its worker would read Disconnected
-                    // before ever firing its timers.
-                    for txs in txs_per_node.iter_mut() {
-                        txs[dst] = Some(Outbox::Channel(tx.clone()));
-                    }
+        if n <= 2 {
+            // Each mailbox has exactly one possible producer (the single
+            // other node — self-sends bypass mailboxes, and the control
+            // plane only injects between phases), so the cheaper SPSC
+            // ring is sound. See DESIGN.md §11 for why this is the *only*
+            // topology where per-mailbox SPSC is sound.
+            for dst in 0..n {
+                let (tx, rx) = ringq::spsc::bounded(capacity);
+                inboxes.push(Inbox::Spsc(rx));
+                if n == 2 {
+                    txs_per_node[1 - dst][dst] = Some(Outbox::Spsc(tx));
                 }
+                // n == 1: no remote link exists; the producer drops.
             }
-            // ≤ 2 nodes: each mailbox has exactly one possible producer
-            // (the single other node — self-sends bypass mailboxes, and
-            // the control plane only injects between phases), so the
-            // cheaper SPSC ring is sound. See DESIGN.md §11 for why this
-            // is the *only* topology where per-mailbox SPSC is sound.
-            MailboxKind::Ring if n <= 2 => {
-                for dst in 0..n {
-                    let (tx, rx) = ringq::spsc::bounded(cfg.capacity);
-                    inboxes.push(Inbox::RingSpsc(rx));
-                    if n == 2 {
-                        txs_per_node[1 - dst][dst] = Some(Outbox::RingSpsc(tx));
-                    }
-                    // n == 1: no remote link exists; the producer drops.
-                }
-            }
-            MailboxKind::Ring => {
-                for dst in 0..n {
-                    let (tx, rx) = ringq::mpsc::bounded(cfg.capacity);
-                    inboxes.push(Inbox::RingMpsc(rx));
-                    for (src, txs) in txs_per_node.iter_mut().enumerate() {
-                        if src != dst {
-                            txs[dst] = Some(Outbox::RingMpsc(tx.clone()));
-                        }
+        } else {
+            for dst in 0..n {
+                let (tx, rx) = ringq::mpsc::bounded(capacity);
+                inboxes.push(Inbox::Mpsc(rx));
+                for (src, txs) in txs_per_node.iter_mut().enumerate() {
+                    if src != dst {
+                        txs[dst] = Some(Outbox::Mpsc(tx.clone()));
                     }
                 }
             }
@@ -639,10 +414,6 @@ impl<M: Send, A: Actor<M> + Send> ThreadedRuntime<M, A> {
                 tel: RuntimeTelemetry::default(),
             })
             .collect();
-        let pin_cpus = match cfg.pin {
-            PinPolicy::Off => Vec::new(),
-            PinPolicy::Cores => affinity::allowed_cpus(),
-        };
         ThreadedRuntime {
             actors,
             states,
@@ -654,18 +425,9 @@ impl<M: Send, A: Actor<M> + Send> ThreadedRuntime<M, A> {
                 events: AtomicU64::new(0),
                 spin_allowed: crate::sizing::spin_allowed(crate::sizing::threaded_workers(n)),
                 parkers: (0..n).map(|_| Parker::default()).collect(),
-                pin_failed: AtomicBool::new(false),
             },
             started: false,
-            mailbox: cfg.mailbox,
-            pin: cfg.pin,
-            pin_cpus,
         }
-    }
-
-    /// The mailbox implementation this runtime was built with.
-    pub fn mailbox_kind(&self) -> MailboxKind {
-        self.mailbox
     }
 
     /// Run one phase: spawn a scoped worker per node, join when every
@@ -687,29 +449,12 @@ impl<M: Send, A: Actor<M> + Send> ThreadedRuntime<M, A> {
             .event_limit
             .store(before.saturating_add(max_events), Ordering::SeqCst);
         let shared = &self.shared;
-        let pin_cpus = &self.pin_cpus;
         std::thread::scope(|scope| {
-            for (i, (actor, st)) in self
-                .actors
-                .iter_mut()
-                .zip(self.states.iter_mut())
-                .enumerate()
-            {
-                let pin = (!pin_cpus.is_empty()).then(|| pin_cpus[i % pin_cpus.len()]);
-                scope.spawn(move || worker(actor, st, shared, first, pin));
+            for (actor, st) in self.actors.iter_mut().zip(self.states.iter_mut()) {
+                scope.spawn(move || worker(actor, st, shared, first));
             }
         });
         self.shared.events.load(Ordering::SeqCst) - before
-    }
-
-    /// Whether this runtime's workers are pinned: pinning was requested,
-    /// the allowed-CPU set was readable, at least one phase ran, and no
-    /// `sched_setaffinity` call failed.
-    fn pinned_now(&self) -> bool {
-        self.pin == PinPolicy::Cores
-            && !self.pin_cpus.is_empty()
-            && self.started
-            && !self.shared.pin_failed.load(Ordering::Relaxed)
     }
 }
 
@@ -791,21 +536,7 @@ fn fire_due_timers<M, A: Actor<M>>(actor: &mut A, st: &mut NodeState<M>, shared:
 /// path; the loop invariant is that `outstanding_delta` is published
 /// (and therefore zero) at every point where the thread may sleep, spin,
 /// check quiescence, or return.
-fn worker<M, A: Actor<M>>(
-    actor: &mut A,
-    st: &mut NodeState<M>,
-    shared: &Shared,
-    first: bool,
-    pin: Option<usize>,
-) {
-    // Pin before anything else — in particular before `on_start`, so
-    // first-touch allocations made there land on this core's NUMA node.
-    // Threads are fresh each phase, so pinning repeats each phase.
-    if let Some(cpu) = pin {
-        if !affinity::pin_current_thread(cpu) {
-            shared.pin_failed.store(true, Ordering::Relaxed);
-        }
-    }
+fn worker<M, A: Actor<M>>(actor: &mut A, st: &mut NodeState<M>, shared: &Shared, first: bool) {
     // Register for ring wakeups (new thread handle every phase).
     *shared.parkers[st.node.idx()]
         .thread
@@ -842,29 +573,14 @@ fn worker<M, A: Actor<M>>(
         // they cost no mailbox synchronization at all.
         st.tel.ring_occupancy_hwm = st.tel.ring_occupancy_hwm.max(st.inbox.len() as u64);
         let mut handled = 0u64;
-        let mut disconnected = false;
         while handled < MESSAGE_BATCH as u64 {
-            if let Some(env) = st.local.pop_front() {
-                handle_message(actor, st, shared, env);
-                handled += 1;
-                continue;
-            }
-            match st.inbox.try_recv() {
-                Recv::Msg(env) => {
-                    handle_message(actor, st, shared, env);
-                    handled += 1;
-                }
-                Recv::Empty => break,
-                Recv::Disconnected => {
-                    disconnected = true;
-                    break;
-                }
-            }
+            let Some(env) = st.local.pop_front().or_else(|| st.inbox.pop()) else {
+                break;
+            };
+            handle_message(actor, st, shared, env);
+            handled += 1;
         }
         retire(st, shared, handled);
-        if disconnected {
-            return;
-        }
         if handled > 0 {
             st.tel.batches_drained += 1;
             actor.on_batch_end();
@@ -899,14 +615,10 @@ fn worker<M, A: Actor<M>>(
         {
             let mut iters: u32 = 0;
             while shared.now_ns() < next_timer {
-                match st.inbox.try_recv() {
-                    Recv::Msg(env) => {
-                        handle_message(actor, st, shared, env);
-                        retire(st, shared, 1);
-                        break;
-                    }
-                    Recv::Empty => {}
-                    Recv::Disconnected => return,
+                if let Some(env) = st.inbox.pop() {
+                    handle_message(actor, st, shared, env);
+                    retire(st, shared, 1);
+                    break;
                 }
                 iters = iters.wrapping_add(1);
                 if iters.is_multiple_of(SPIN_YIELD_EVERY) {
@@ -925,14 +637,7 @@ fn worker<M, A: Actor<M>>(
         } else {
             wait
         };
-        match st.await_message(shared, sleep_ns) {
-            Recv::Msg(env) => {
-                handle_message(actor, st, shared, env);
-                retire(st, shared, 1);
-            }
-            Recv::Empty => {}
-            Recv::Disconnected => return,
-        }
+        st.park(shared, sleep_ns);
     }
 }
 
@@ -975,10 +680,6 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for ThreadedRuntime<M, A> {
         self.run_phase(u64::MAX, max_events)
     }
 
-    fn pinned(&self) -> bool {
-        self.pinned_now()
-    }
-
     fn workers(&self) -> usize {
         crate::sizing::threaded_workers(self.actors.len())
     }
@@ -989,10 +690,6 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for ThreadedRuntime<M, A> {
             merged.merge(&st.tel);
         }
         merged
-    }
-
-    fn mailbox_kind(&self) -> Option<MailboxKind> {
-        Some(self.mailbox)
     }
 
     fn with_actor_ctx(&mut self, node: NodeId, f: &mut dyn FnMut(&mut A, &mut Ctx<'_, M>)) {
@@ -1144,16 +841,6 @@ mod tests {
         }
     }
 
-    /// Explicit mailbox-kind config: tests that must cover a specific
-    /// implementation regardless of the `CHILLER_MAILBOX` environment.
-    fn config(mailbox: MailboxKind, capacity: usize) -> ThreadedConfig {
-        ThreadedConfig {
-            capacity,
-            mailbox,
-            pin: PinPolicy::Off,
-        }
-    }
-
     #[test]
     fn ping_pong_reaches_quiescence() {
         let mut rt = ThreadedRuntime::new(vec![
@@ -1172,18 +859,11 @@ mod tests {
         assert_eq!(stats.events_processed, 1000);
     }
 
-    /// The same ping-pong on every explicit mailbox implementation: a
-    /// 2-node cluster exercises the SPSC fast path, 5 nodes the MPSC
-    /// ring, and the channel fallback must keep working regardless of
-    /// the environment default.
+    /// The same ping-pong on both ring lanes: a 2-node cluster exercises
+    /// the SPSC fast path, 5 nodes the MPSC ring.
     #[test]
-    fn ping_pong_on_every_mailbox_kind() {
-        for (kind, nodes) in [
-            (MailboxKind::Ring, 2),
-            (MailboxKind::Ring, 5),
-            (MailboxKind::Channel, 2),
-            (MailboxKind::Channel, 5),
-        ] {
+    fn ping_pong_on_both_ring_lanes() {
+        for nodes in [2, 5] {
             let mut actors = vec![
                 TestActor::Pinger {
                     count: 300,
@@ -1198,42 +878,38 @@ mod tests {
                     received: Vec::new(),
                 });
             }
-            let mut rt = ThreadedRuntime::with_config(actors, config(kind, 64));
+            let mut rt = ThreadedRuntime::with_mailbox_capacity(actors, 64);
             rt.run_to_quiescence(u64::MAX);
             assert_eq!(
                 replies(&rt.actors()[0]),
                 300,
-                "{kind} mailbox with {nodes} nodes lost replies"
+                "{nodes}-node cluster lost replies"
             );
-            assert_eq!(rt.mailbox_kind(), kind);
         }
     }
 
     /// Per-link FIFO even when the bounded mailbox overflows into the
     /// parked-send queue: node 1 must observe node 0's payloads in order.
-    /// Covers both ring lanes (SPSC at 2 nodes) and the channel.
     #[test]
     fn per_link_fifo_survives_mailbox_overflow() {
         let n = 500u64;
-        for kind in [MailboxKind::Ring, MailboxKind::Channel] {
-            let mut rt = ThreadedRuntime::with_config(
-                vec![
-                    TestActor::Pinger {
-                        count: n,
-                        replies: 0,
-                    },
-                    TestActor::Recorder {
-                        received: Vec::new(),
-                    },
-                ],
-                config(kind, 4), // tiny mailbox: most sends park between flushes
-            );
-            rt.run_to_quiescence(u64::MAX);
-            let TestActor::Recorder { received } = &rt.actors()[1] else {
-                panic!("node 1 is the recorder");
-            };
-            assert_eq!(received, &(0..n).collect::<Vec<_>>(), "{kind} reordered");
-        }
+        let mut rt = ThreadedRuntime::with_mailbox_capacity(
+            vec![
+                TestActor::Pinger {
+                    count: n,
+                    replies: 0,
+                },
+                TestActor::Recorder {
+                    received: Vec::new(),
+                },
+            ],
+            4, // tiny mailbox: most sends park between flushes
+        );
+        rt.run_to_quiescence(u64::MAX);
+        let TestActor::Recorder { received } = &rt.actors()[1] else {
+            panic!("node 1 is the recorder");
+        };
+        assert_eq!(received, &(0..n).collect::<Vec<_>>(), "reordered");
     }
 
     /// Capacity-1 rings: every send overflows, every flush stalls, and
@@ -1257,7 +933,7 @@ mod tests {
                     received: Vec::new(),
                 });
             }
-            let mut rt = ThreadedRuntime::with_config(actors, config(MailboxKind::Ring, 1));
+            let mut rt = ThreadedRuntime::with_mailbox_capacity(actors, 1);
             rt.run_to_quiescence(u64::MAX);
             let TestActor::Recorder { received } = &rt.actors()[1] else {
                 panic!("node 1 is the recorder");
@@ -1385,24 +1061,24 @@ mod tests {
         assert!(fired < 100_000, "guard must stop the zero-delay ticker");
     }
 
-    /// Regression: a single-node cluster on the channel mailbox must keep
-    /// its (unused) self-sender alive — dropping it disconnects the
-    /// receiver and the worker would exit before firing armed timers.
+    /// Regression: a single-node cluster drops its ring's only producer
+    /// (no remote link exists); the worker must still fire every armed
+    /// timer rather than treat the producer-less mailbox as closed.
     #[test]
-    fn single_node_channel_cluster_fires_timers() {
-        let mut rt = ThreadedRuntime::with_config(
+    fn single_node_cluster_fires_timers() {
+        let mut rt = ThreadedRuntime::with_mailbox_capacity(
             vec![TestActor::Ticker {
                 fired: 0,
                 limit: 10,
                 delay_ns: 20_000,
             }],
-            config(MailboxKind::Channel, 16),
+            16,
         );
         rt.run_to_quiescence(u64::MAX);
         let TestActor::Ticker { fired, .. } = rt.actors()[0] else {
             panic!()
         };
-        assert_eq!(fired, 10, "single-node channel worker exited early");
+        assert_eq!(fired, 10, "single-node worker exited early");
     }
 
     /// Telemetry plausibility: a run that handles messages must report
@@ -1411,7 +1087,7 @@ mod tests {
     /// histogram.
     #[test]
     fn telemetry_counters_reflect_the_run() {
-        let mut rt = ThreadedRuntime::with_config(
+        let mut rt = ThreadedRuntime::with_mailbox_capacity(
             vec![
                 TestActor::Pinger {
                     count: 400,
@@ -1421,7 +1097,7 @@ mod tests {
                     received: Vec::new(),
                 },
             ],
-            config(MailboxKind::Ring, 2), // tiny: force stalls and parking
+            2, // tiny: force stalls and parking
         );
         rt.run_to_quiescence(u64::MAX);
         let tel = rt.telemetry();
@@ -1429,11 +1105,6 @@ mod tests {
         assert!(tel.flush_stalls > 0, "capacity-2 mailboxes must stall");
         assert!(tel.parked_depth_hwm > 0, "sends must have parked");
         assert_eq!(tel.timer_slop.count(), 0, "no timers in this run");
-        assert_eq!(
-            Runtime::mailbox_kind(&rt),
-            Some(MailboxKind::Ring),
-            "trait accessor reports the mailbox kind"
-        );
 
         let mut ticker = ThreadedRuntime::new(vec![TestActor::Ticker {
             fired: 0,
@@ -1452,45 +1123,5 @@ mod tests {
         let a = rt.now();
         let b = rt.now();
         assert!(b >= a);
-    }
-
-    /// Pinning: requested-but-unstarted runtimes report unpinned; after a
-    /// phase on Linux the report flips to pinned (and stays honest about
-    /// failure elsewhere).
-    #[test]
-    fn pin_policy_reports_honestly() {
-        let mut rt = ThreadedRuntime::with_config(
-            vec![
-                TestActor::Pinger {
-                    count: 50,
-                    replies: 0,
-                },
-                TestActor::Echo {
-                    received: Vec::new(),
-                },
-            ],
-            ThreadedConfig {
-                capacity: 64,
-                mailbox: MailboxKind::Ring,
-                pin: PinPolicy::Cores,
-            },
-        );
-        assert!(!rt.pinned(), "nothing is pinned before the first phase");
-        rt.run_to_quiescence(u64::MAX);
-        assert_eq!(replies(&rt.actors()[0]), 50);
-        if cfg!(target_os = "linux") {
-            assert!(rt.pinned(), "Linux run with Cores policy must pin");
-        } else {
-            assert!(!rt.pinned(), "non-Linux must degrade to unpinned");
-        }
-        // Off policy never reports pinned.
-        let mut off = ThreadedRuntime::with_config(
-            vec![TestActor::Recorder {
-                received: Vec::new(),
-            }],
-            config(MailboxKind::Ring, 64),
-        );
-        off.run_to_quiescence(u64::MAX);
-        assert!(!off.pinned());
     }
 }

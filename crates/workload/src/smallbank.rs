@@ -367,12 +367,12 @@ pub fn build_cluster(
     protocol: Protocol,
     sim: SimConfig,
 ) -> Cluster {
-    build_cluster_checked(cfg, nodes, protocol, sim, Backend::Simulated, None, None)
+    build_cluster_checked(cfg, nodes, protocol, sim, Backend::Simulated, None)
 }
 
 /// Build a SmallBank cluster on an explicit backend, optionally with an
-/// explicit mailbox kind and serializability-check mode (`None` defers to
-/// the `CHILLER_MAILBOX` / `CHILLER_CHECK` environment knobs). The
+/// explicit serializability-check mode (`None` defers to the
+/// `CHILLER_CHECK` environment knob). The
 /// checker certification suites drive all protocols × backends through
 /// this door.
 pub fn build_cluster_checked(
@@ -381,23 +381,20 @@ pub fn build_cluster_checked(
     protocol: Protocol,
     sim: SimConfig,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
     check: Option<CheckMode>,
 ) -> Cluster {
-    build_cluster_durable(cfg, nodes, protocol, sim, backend, mailbox, check, None)
+    build_cluster_durable(cfg, nodes, protocol, sim, backend, check, None)
 }
 
 /// [`build_cluster_checked`] with an explicit durable directory (`None`
 /// defers to the `CHILLER_WAL` environment knob): per-node redo logs land
 /// under `dir` and a rebuild against the same directory recovers.
-#[allow(clippy::too_many_arguments)]
 pub fn build_cluster_durable(
     cfg: &SmallBankConfig,
     nodes: usize,
     protocol: Protocol,
     sim: SimConfig,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
     check: Option<CheckMode>,
     durable: Option<&std::path::Path>,
 ) -> Cluster {
@@ -410,9 +407,6 @@ pub fn build_cluster_durable(
         .placement(Arc::new(cfg.placement(nodes as u32)))
         .hot_records(cfg.hot_records())
         .load(cfg.initial_records());
-    if let Some(kind) = mailbox {
-        builder.mailbox(kind);
-    }
     if let Some(mode) = check {
         builder.check(mode);
     }

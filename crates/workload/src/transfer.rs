@@ -192,64 +192,37 @@ pub fn build_cluster_on(
     sim: SimConfig,
     backend: Backend,
 ) -> Cluster {
-    build_cluster_tuned(cfg, nodes, protocol, sim, backend, None, None)
+    build_cluster_scaled(cfg, nodes, protocol, sim, backend, None)
 }
 
-/// [`build_cluster_on`] with explicit threaded-backend tuning: mailbox
-/// implementation and core-pinning policy (`None` defers to the
-/// `CHILLER_MAILBOX` / `CHILLER_PIN` environment knobs). The A/B matrix
-/// in `bench_threaded_throughput` drives all four combinations through
-/// this door; the simulated backend ignores both.
-pub fn build_cluster_tuned(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    mailbox: Option<MailboxKind>,
-    pin: Option<PinPolicy>,
-) -> Cluster {
-    build_cluster_scaled(cfg, nodes, protocol, sim, backend, mailbox, pin, None)
-}
-
-/// [`build_cluster_tuned`] with an explicit async worker-pool size
+/// [`build_cluster_on`] with an explicit async worker-pool size
 /// (`None` defers to `CHILLER_WORKERS` / detected parallelism). The
 /// scaling sweep in `bench_async_scale` drives its partitions × workers
 /// matrix through this door; the other backends ignore the knob.
-#[allow(clippy::too_many_arguments)]
 pub fn build_cluster_scaled(
     cfg: &TransferConfig,
     nodes: usize,
     protocol: Protocol,
     sim: SimConfig,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
-    pin: Option<PinPolicy>,
     workers: Option<usize>,
 ) -> Cluster {
-    build_cluster_traced(
-        cfg, nodes, protocol, sim, backend, mailbox, pin, workers, None,
-    )
+    build_cluster_traced(cfg, nodes, protocol, sim, backend, workers, None)
 }
 
 /// [`build_cluster_scaled`] with an explicit lifecycle-trace mode (`None`
 /// defers to the `CHILLER_TRACE` environment knob). The trace smoke suite
 /// and `bench_trace_overhead` drive all modes through this door.
-#[allow(clippy::too_many_arguments)]
 pub fn build_cluster_traced(
     cfg: &TransferConfig,
     nodes: usize,
     protocol: Protocol,
     sim: SimConfig,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
-    pin: Option<PinPolicy>,
     workers: Option<usize>,
     trace: Option<TraceMode>,
 ) -> Cluster {
-    build_cluster_checked(
-        cfg, nodes, protocol, sim, backend, mailbox, pin, workers, trace, None,
-    )
+    build_cluster_checked(cfg, nodes, protocol, sim, backend, workers, trace, None)
 }
 
 /// [`build_cluster_traced`] with an explicit serializability-check mode
@@ -263,8 +236,6 @@ pub fn build_cluster_checked(
     protocol: Protocol,
     sim: SimConfig,
     backend: Backend,
-    mailbox: Option<MailboxKind>,
-    pin: Option<PinPolicy>,
     workers: Option<usize>,
     trace: Option<TraceMode>,
     check: Option<CheckMode>,
@@ -278,12 +249,6 @@ pub fn build_cluster_checked(
         .placement(Arc::new(cfg.chiller_placement(nodes as u32)))
         .hot_records(cfg.hot_records())
         .load(cfg.initial_records());
-    if let Some(kind) = mailbox {
-        builder.mailbox(kind);
-    }
-    if let Some(policy) = pin {
-        builder.pin_threads(policy);
-    }
     if let Some(n) = workers {
         builder.workers(n);
     }

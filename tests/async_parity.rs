@@ -37,12 +37,11 @@ fn sim_config(seed: u64, concurrency: usize) -> SimConfig {
     sim
 }
 
-/// Run one protocol on the async backend with an explicit pool size and
-/// mailbox kind, quiesce, and return the cluster plus its report.
+/// Run one protocol on the async backend with an explicit pool size,
+/// quiesce, and return the cluster plus its report.
 fn run_async(
     protocol: Protocol,
     seed: u64,
-    mailbox: MailboxKind,
     workers: usize,
     measure_ms: u64,
 ) -> (Cluster, RunReport) {
@@ -53,8 +52,6 @@ fn run_async(
         protocol,
         sim_config(seed, 4),
         Backend::Async,
-        Some(mailbox),
-        Some(PinPolicy::Off),
         Some(workers),
     );
     assert_eq!(cluster.backend(), Backend::Async);
@@ -64,26 +61,24 @@ fn run_async(
 }
 
 /// The differential core: same seeds, async execution vs the simulated
-/// oracle, full invariant set on both sides, every protocol. Covers both
-/// mailbox implementations explicitly so a `CHILLER_MAILBOX` default
-/// flip can never silently drop coverage.
+/// oracle, full invariant set on both sides, every protocol.
 #[test]
 fn async_and_simulated_uphold_the_same_contract_per_seed() {
-    for (seed, mailbox) in [(11, MailboxKind::Ring), (31, MailboxKind::Channel)] {
+    for seed in [11, 31] {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = contended_config();
 
             // Async side: real pool, wall clock.
-            let (cluster, report) = run_async(protocol, seed, mailbox, 2, 120);
+            let (cluster, report) = run_async(protocol, seed, 2, 120);
             assert!(
                 report.total_commits() > 0,
-                "{protocol} seed {seed} ({mailbox}): async backend committed nothing — {}",
+                "{protocol} seed {seed}: async backend committed nothing — {}",
                 report.summary()
             );
             assert_serializability_invariants(
                 &cluster,
                 &cfg,
-                &format!("{protocol} seed {seed} (async, {mailbox})"),
+                &format!("{protocol} seed {seed} (async)"),
             );
 
             // Oracle side: the deterministic simulator on the same seed.
@@ -108,7 +103,7 @@ fn async_and_simulated_uphold_the_same_contract_per_seed() {
 /// the measured window tracks wall time like the threaded backend's.
 #[test]
 fn async_reports_are_labelled_with_backend_and_workers() {
-    let (_, report) = run_async(Protocol::Chiller, 17, MailboxKind::Ring, 2, 80);
+    let (_, report) = run_async(Protocol::Chiller, 17, 2, 80);
     assert_eq!(report.backend, Backend::Async);
     assert_eq!(report.workers, 2, "report must carry the pool size");
     let elapsed_ms = report.elapsed.as_nanos() as f64 / 1e6;
@@ -135,7 +130,7 @@ fn async_reports_are_labelled_with_backend_and_workers() {
 fn every_pool_size_upholds_invariants() {
     let cfg = contended_config();
     for workers in [1usize, 2, NODES] {
-        let (cluster, report) = run_async(Protocol::Chiller, 23, MailboxKind::Ring, workers, 100);
+        let (cluster, report) = run_async(Protocol::Chiller, 23, workers, 100);
         assert!(
             report.total_commits() > 0,
             "{workers}-worker pool committed nothing"
@@ -158,8 +153,6 @@ fn async_backend_survives_repeated_run_windows() {
         Protocol::Chiller,
         sim_config(23, 4),
         Backend::Async,
-        Some(MailboxKind::Ring),
-        Some(PinPolicy::Off),
         Some(2),
     );
     let first = cluster.run(RunSpec::millis(5, 40));
@@ -172,16 +165,17 @@ fn async_backend_survives_repeated_run_windows() {
     assert_serializability_invariants(&cluster, &cfg, "chiller windows (async)");
 }
 
-/// The serializability checker on the async backend, both mailbox kinds:
-/// engines run on real threads against a wall clock, so the recorded
-/// history exercises genuinely concurrent interleavings (not the
-/// simulator's serial event loop). Every protocol's history must still
-/// certify clean — an executor bug that reorders messages beyond
-/// per-link FIFO surfaces here as a dependency cycle even when the
-/// balance sum happens to survive.
+/// The serializability checker on the async backend, two seeds (the
+/// name is historical: the seeds once ran on two mailbox kinds). Engines
+/// run on real threads against a wall clock, so the recorded history
+/// exercises genuinely concurrent interleavings (not the simulator's
+/// serial event loop). Every protocol's history must still certify
+/// clean — an executor bug that reorders messages beyond per-link FIFO
+/// surfaces here as a dependency cycle even when the balance sum happens
+/// to survive.
 #[test]
 fn checker_certifies_async_runs_on_both_mailboxes() {
-    for (seed, mailbox) in [(11u64, MailboxKind::Ring), (31, MailboxKind::Channel)] {
+    for seed in [11u64, 31] {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = contended_config();
             let mut cluster = build_cluster_checked(
@@ -190,8 +184,6 @@ fn checker_certifies_async_runs_on_both_mailboxes() {
                 protocol,
                 sim_config(seed, 4),
                 Backend::Async,
-                Some(mailbox),
-                Some(PinPolicy::Off),
                 Some(2),
                 Some(TraceMode::Off),
                 Some(CheckMode::Window(256)),
@@ -199,16 +191,16 @@ fn checker_certifies_async_runs_on_both_mailboxes() {
             let report = cluster.run(RunSpec::millis(10, 100));
             assert!(
                 report.total_commits() > 0,
-                "{protocol} ({mailbox}): committed nothing — {}",
+                "{protocol} seed {seed}: committed nothing — {}",
                 report.summary()
             );
             cluster.quiesce();
             assert_serializability_invariants(
                 &cluster,
                 &cfg,
-                &format!("{protocol} (async checked, {mailbox})"),
+                &format!("{protocol} seed {seed} (async checked)"),
             );
-            cluster.expect_serializable(&format!("{protocol} (async, {mailbox})"));
+            cluster.expect_serializable(&format!("{protocol} seed {seed} (async)"));
         }
     }
 }
@@ -230,8 +222,6 @@ fn many_partitions_on_a_small_pool_uphold_invariants() {
         Protocol::Chiller,
         sim_config(29, 4),
         Backend::Async,
-        Some(MailboxKind::Ring),
-        Some(PinPolicy::Off),
         Some(2),
     );
     let report = cluster.run(RunSpec::millis(10, 120));

@@ -6,23 +6,17 @@
 //! work-stealing ready queue. The suite floods tiny shared mailboxes
 //! (overflow into the parked-flush path, stall-and-requeue), chains long
 //! relay cascades (quiescence detection vs batched bookkeeping and the
-//! notify/DIRTY protocol), and runs both under more engines than workers
-//! — under **both** mailbox implementations explicitly, so an env
-//! default flip can never silently drop coverage of either.
+//! notify/DIRTY protocol), and runs both under more engines than workers.
 
 use chiller_common::ids::NodeId;
-use chiller_simnet::{
-    Actor, AsyncConfig, AsyncRuntime, Ctx, MailboxKind, PinPolicy, Runtime, Verb,
-};
+use chiller_simnet::{Actor, AsyncConfig, AsyncRuntime, Ctx, Runtime, Verb};
 
 const NODES: usize = 4;
 
-fn config(mailbox: MailboxKind, capacity: usize, workers: usize) -> AsyncConfig {
+fn config(capacity: usize, workers: usize) -> AsyncConfig {
     AsyncConfig {
         capacity,
-        mailbox,
         workers: Some(workers),
-        pin: PinPolicy::Off,
     }
 }
 
@@ -57,9 +51,9 @@ impl Actor<u64> for Flood {
 }
 
 /// Run the all-pairs flood on a 2-worker pool with an explicit mailbox
-/// implementation and capacity; returns `seen[node][src]`. Asserts
-/// completeness (event count); order checking is the caller's.
-fn run_flood(mailbox: MailboxKind, capacity: usize, per_link: u64) -> Vec<Vec<Vec<u64>>> {
+/// capacity; returns `seen[node][src]`. Asserts completeness (event
+/// count); order checking is the caller's.
+fn run_flood(capacity: usize, per_link: u64) -> Vec<Vec<Vec<u64>>> {
     let actors: Vec<Flood> = (0..NODES)
         .map(|_| Flood {
             nodes: NODES,
@@ -67,13 +61,13 @@ fn run_flood(mailbox: MailboxKind, capacity: usize, per_link: u64) -> Vec<Vec<Ve
             seen: (0..NODES).map(|_| Vec::new()).collect(),
         })
         .collect();
-    let mut rt = AsyncRuntime::with_config(actors, config(mailbox, capacity, 2));
+    let mut rt = AsyncRuntime::with_config(actors, config(capacity, 2));
     rt.run_to_quiescence(u64::MAX);
     let links = (NODES * (NODES - 1)) as u64;
     assert_eq!(
         rt.stats().events_processed,
         links * per_link,
-        "{mailbox} capacity-{capacity} flood lost messages"
+        "capacity-{capacity} flood lost messages"
     );
     rt.actors().iter().map(|a| a.seen.clone()).collect()
 }
@@ -101,15 +95,12 @@ fn assert_links_fifo(seen: &[Vec<Vec<u64>>], per_link: u64, label: &str) {
 /// Tiny shared mailboxes force every executor mechanism at once —
 /// overflow into the parked-send queues, stall-at-first-full, engine
 /// re-enqueue instead of thread spinning, work stealing between the two
-/// workers — and per-link FIFO must still hold exactly, under both
-/// mailbox implementations.
+/// workers — and per-link FIFO must still hold exactly.
 #[test]
 fn parked_flush_preserves_per_link_fifo_under_flood() {
     let per_link = 2_000u64;
-    for mailbox in [MailboxKind::Ring, MailboxKind::Channel] {
-        let seen = run_flood(mailbox, 8, per_link);
-        assert_links_fifo(&seen, per_link, &format!("{mailbox} (async)"));
-    }
+    let seen = run_flood(8, per_link);
+    assert_links_fifo(&seen, per_link, "capacity-8 ring (async)");
 }
 
 /// Capacity-1 mailboxes: every slot contends, every flush stalls, every
@@ -118,10 +109,8 @@ fn parked_flush_preserves_per_link_fifo_under_flood() {
 #[test]
 fn capacity_one_mailboxes_survive_all_pairs_flood() {
     let per_link = 500u64;
-    for mailbox in [MailboxKind::Ring, MailboxKind::Channel] {
-        let seen = run_flood(mailbox, 1, per_link);
-        assert_links_fifo(&seen, per_link, &format!("capacity-1 {mailbox} (async)"));
-    }
+    let seen = run_flood(1, per_link);
+    assert_links_fifo(&seen, per_link, "capacity-1 ring (async)");
 }
 
 /// Ring-relay actor for quiescence stress: forwards each payload (a hop
@@ -149,37 +138,33 @@ impl Actor<u64> for Ring {
 /// published per engine *turn*, engines hop between workers mid-cascade,
 /// and idle workers park on the taskq handshake — an early quiescence
 /// verdict, a lost notify, or a mis-ordered delta publication surfaces
-/// as a cascade cut short or a hang. Both mailbox kinds, explicitly.
+/// as a cascade cut short or a hang.
 #[test]
 fn quiescence_detection_survives_multiplexed_cascades() {
     let cascades = 8u64;
     let hops = 5_000u64;
-    for mailbox in [MailboxKind::Ring, MailboxKind::Channel] {
-        let actors: Vec<Ring> = (0..NODES)
-            .map(|n| Ring {
-                next: NodeId(((n + 1) % NODES) as u32),
-                relayed: 0,
-            })
-            .collect();
-        let mut rt = AsyncRuntime::with_config(
-            actors,
-            config(mailbox, chiller_simnet::DEFAULT_MAILBOX_CAPACITY, 2),
-        );
-        // Seed the cascades from the control plane, spread around the ring.
-        for c in 0..cascades {
-            rt.with_actor_ctx(NodeId((c % NODES as u64) as u32), &mut |_a, ctx| {
-                let next = NodeId(((ctx.node().idx() + 1) % NODES) as u32);
-                ctx.send(next, Verb::OneSided, hops - 1);
-            });
-        }
-        rt.run_to_quiescence(u64::MAX);
-        let total: u64 = rt.actors().iter().map(|a| a.relayed).sum();
-        assert_eq!(
-            total,
-            cascades * hops,
-            "{mailbox}: a cascade was cut short by a premature quiescence verdict"
-        );
+    let actors: Vec<Ring> = (0..NODES)
+        .map(|n| Ring {
+            next: NodeId(((n + 1) % NODES) as u32),
+            relayed: 0,
+        })
+        .collect();
+    let mut rt =
+        AsyncRuntime::with_config(actors, config(chiller_simnet::DEFAULT_MAILBOX_CAPACITY, 2));
+    // Seed the cascades from the control plane, spread around the ring.
+    for c in 0..cascades {
+        rt.with_actor_ctx(NodeId((c % NODES as u64) as u32), &mut |_a, ctx| {
+            let next = NodeId(((ctx.node().idx() + 1) % NODES) as u32);
+            ctx.send(next, Verb::OneSided, hops - 1);
+        });
     }
+    rt.run_to_quiescence(u64::MAX);
+    let total: u64 = rt.actors().iter().map(|a| a.relayed).sum();
+    assert_eq!(
+        total,
+        cascades * hops,
+        "a cascade was cut short by a premature quiescence verdict"
+    );
 }
 
 /// The same cascade regression with far more engines than workers: 64
@@ -196,7 +181,7 @@ fn cascades_survive_heavy_multiplexing() {
             relayed: 0,
         })
         .collect();
-    let mut rt = AsyncRuntime::with_config(actors, config(MailboxKind::Ring, 64, 2));
+    let mut rt = AsyncRuntime::with_config(actors, config(64, 2));
     for c in 0..cascades {
         rt.with_actor_ctx(NodeId((c % nodes as u64) as u32), &mut |_a, ctx| {
             let next = NodeId(((ctx.node().idx() + 1) % nodes) as u32);

@@ -217,7 +217,6 @@ fn smallbank_crash_recover(
         protocol,
         sim_config(seed),
         backend,
-        None,
         Some(CheckMode::Full),
         Some(&dir),
     );
@@ -236,7 +235,6 @@ fn smallbank_crash_recover(
         protocol,
         sim_config(seed + 1),
         backend,
-        None,
         Some(CheckMode::Full),
         Some(&dir),
     );
@@ -370,7 +368,6 @@ fn double_crash_walks_the_epoch_chain() {
         Protocol::Chiller,
         sim_config(71),
         Backend::Simulated,
-        None,
         Some(CheckMode::Full),
         Some(&dir),
     );
@@ -384,7 +381,6 @@ fn double_crash_walks_the_epoch_chain() {
         Protocol::Chiller,
         sim_config(72),
         Backend::Simulated,
-        None,
         Some(CheckMode::Full),
         Some(&dir),
     );
@@ -400,7 +396,6 @@ fn double_crash_walks_the_epoch_chain() {
         Protocol::Chiller,
         sim_config(73),
         Backend::Simulated,
-        None,
         Some(CheckMode::Full),
         Some(&dir),
     );
@@ -449,7 +444,6 @@ fn clean_quiesce_leaves_nothing_in_doubt() {
                 sim_config(seed),
                 backend,
                 None,
-                None,
                 Some(&dir),
             )
         };
@@ -484,7 +478,6 @@ fn durability_is_invisible_to_the_simulation() {
             Protocol::Chiller,
             sim_config(29),
             Backend::Simulated,
-            None,
             Some(CheckMode::Full),
             durable,
         );

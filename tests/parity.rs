@@ -225,8 +225,6 @@ fn checked_cluster(protocol: Protocol, seed: u64, trace: TraceMode, check: Check
         sim_config(seed, 4),
         Backend::Simulated,
         None,
-        None,
-        None,
         Some(trace),
         Some(check),
     )

@@ -108,7 +108,6 @@ fn build(dir: &Path, seed: u64) -> Cluster {
         sim,
         Backend::Simulated,
         None,
-        None,
         Some(dir),
     )
 }

@@ -44,7 +44,6 @@ fn smallbank_certifies_on_the_simulator() {
             protocol,
             sim_config(13),
             Backend::Simulated,
-            None,
             Some(CheckMode::Full),
         );
         let report = cluster.run(RunSpec::millis(0, 8));
@@ -71,7 +70,6 @@ fn smallbank_certifies_on_the_threaded_backend() {
             protocol,
             sim_config(17),
             Backend::Threaded,
-            None,
             Some(CheckMode::Window(256)),
         );
         let report = cluster.run(RunSpec::millis(0, 100));
@@ -86,30 +84,27 @@ fn smallbank_certifies_on_the_threaded_backend() {
     }
 }
 
-/// Async worker-pool backend, both mailbox kinds.
+/// Async worker-pool backend, windowed check.
 #[test]
 fn smallbank_certifies_on_the_async_backend() {
-    for mailbox in [MailboxKind::Ring, MailboxKind::Channel] {
-        let cfg = contended_config();
-        let mut cluster = build_cluster_checked(
-            &cfg,
-            NODES,
-            Protocol::Chiller,
-            sim_config(19),
-            Backend::Async,
-            Some(mailbox),
-            Some(CheckMode::Window(256)),
-        );
-        let report = cluster.run(RunSpec::millis(0, 100));
-        assert!(
-            report.total_commits() > 0,
-            "async smallbank ({mailbox}) committed nothing — {}",
-            report.summary()
-        );
-        cluster.quiesce();
-        assert_smallbank_invariants(&cluster, &cfg, &format!("chiller (async, {mailbox})"));
-        cluster.expect_serializable(&format!("smallbank chiller (async, {mailbox})"));
-    }
+    let cfg = contended_config();
+    let mut cluster = build_cluster_checked(
+        &cfg,
+        NODES,
+        Protocol::Chiller,
+        sim_config(19),
+        Backend::Async,
+        Some(CheckMode::Window(256)),
+    );
+    let report = cluster.run(RunSpec::millis(0, 100));
+    assert!(
+        report.total_commits() > 0,
+        "async smallbank committed nothing — {}",
+        report.summary()
+    );
+    cluster.quiesce();
+    assert_smallbank_invariants(&cluster, &cfg, "chiller (async)");
+    cluster.expect_serializable("smallbank chiller (async)");
 }
 
 /// A checked SmallBank run on the simulator is byte-identical to an
@@ -124,7 +119,6 @@ fn smallbank_checked_run_is_byte_identical_to_unchecked() {
             Protocol::Chiller,
             sim_config(23),
             Backend::Simulated,
-            None,
             Some(check),
         );
         let report = cluster.run(RunSpec::millis(0, 8));

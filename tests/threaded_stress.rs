@@ -11,9 +11,9 @@
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_common::ids::NodeId;
-use chiller_simnet::{Actor, Ctx, Runtime, ThreadedConfig, ThreadedRuntime, Verb};
+use chiller_simnet::{Actor, Ctx, Runtime, ThreadedRuntime, Verb};
 use chiller_workload::transfer::{
-    assert_serializability_invariants, build_cluster_on, build_cluster_tuned, TransferConfig,
+    assert_serializability_invariants, build_cluster_on, TransferConfig,
 };
 
 const NODES: usize = 4;
@@ -61,58 +61,6 @@ fn threaded_backend_upholds_invariants_under_all_protocols() {
             &format!("{protocol} (threaded)"),
         );
     }
-}
-
-/// The same serializability contract under *explicit* mailbox choices —
-/// independent of the `CHILLER_MAILBOX` environment, so a default flip
-/// can never silently drop coverage of either implementation.
-#[test]
-fn both_mailbox_implementations_uphold_invariants() {
-    let cfg = contended_config();
-    for mailbox in [MailboxKind::Ring, MailboxKind::Channel] {
-        let mut cluster = build_cluster_tuned(
-            &cfg,
-            NODES,
-            Protocol::Chiller,
-            sim_config(31, 4),
-            Backend::Threaded,
-            Some(mailbox),
-            Some(PinPolicy::Off),
-        );
-        let report = cluster.run(RunSpec::millis(10, 120));
-        assert!(
-            report.total_commits() > 0,
-            "{mailbox} mailboxes committed nothing"
-        );
-        assert!(!report.pinned, "pinning was off");
-        cluster.quiesce();
-        assert_serializability_invariants(&cluster, &cfg, &format!("chiller ({mailbox} mailbox)"));
-    }
-}
-
-/// Core pinning end to end: a pinned chiller run must commit, report
-/// `pinned = true` (on Linux), and uphold the full contract — including
-/// with the initial rows loaded by the pinned engine threads themselves
-/// (the first-touch staging path).
-#[test]
-fn pinned_run_upholds_invariants_and_reports_pinned() {
-    let cfg = contended_config();
-    let mut cluster = build_cluster_tuned(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(37, 4),
-        Backend::Threaded,
-        Some(MailboxKind::Ring),
-        Some(PinPolicy::Cores),
-    );
-    let report = cluster.run(RunSpec::millis(10, 120));
-    assert!(report.total_commits() > 0, "pinned run committed nothing");
-    if cfg!(target_os = "linux") {
-        assert!(report.pinned, "Linux pinned run must report pinned");
-    }
-    cluster.quiesce();
-    assert_serializability_invariants(&cluster, &cfg, "chiller (pinned)");
 }
 
 #[test]
@@ -163,11 +111,11 @@ impl Actor<u64> for Flood {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u64>, _token: u64) {}
 }
 
-/// Run the all-pairs flood with an explicit mailbox implementation and
-/// capacity, returning `seen[node][src]` = the payload sequence each node
-/// observed from each peer. Asserts completeness (event count) but leaves
-/// order checking to the caller.
-fn run_flood(mailbox: MailboxKind, capacity: usize, per_link: u64) -> Vec<Vec<Vec<u64>>> {
+/// Run the all-pairs flood with an explicit mailbox capacity, returning
+/// `seen[node][src]` = the payload sequence each node observed from each
+/// peer. Asserts completeness (event count) but leaves order checking to
+/// the caller.
+fn run_flood(capacity: usize, per_link: u64) -> Vec<Vec<Vec<u64>>> {
     let actors: Vec<Flood> = (0..NODES)
         .map(|_| Flood {
             nodes: NODES,
@@ -175,20 +123,13 @@ fn run_flood(mailbox: MailboxKind, capacity: usize, per_link: u64) -> Vec<Vec<Ve
             seen: (0..NODES).map(|_| Vec::new()).collect(),
         })
         .collect();
-    let mut rt = ThreadedRuntime::with_config(
-        actors,
-        ThreadedConfig {
-            capacity,
-            mailbox,
-            pin: PinPolicy::Off,
-        },
-    );
+    let mut rt = ThreadedRuntime::with_mailbox_capacity(actors, capacity);
     rt.run_to_quiescence(u64::MAX);
     let links = (NODES * (NODES - 1)) as u64;
     assert_eq!(
         rt.stats().events_processed,
         links * per_link,
-        "{mailbox} capacity-{capacity} flood lost messages"
+        "capacity-{capacity} flood lost messages"
     );
     rt.actors().iter().map(|a| a.seen.clone()).collect()
 }
@@ -217,46 +158,14 @@ fn assert_links_fifo(seen: &[Vec<Vec<u64>>], per_link: u64, label: &str) {
 /// forces every hot-path mechanism at once — mailbox overflow into the
 /// parked-send queues, per-batch flushes, interleaved drains on every
 /// worker — and per-link FIFO must still hold exactly: each node sees each
-/// peer's payloads complete and in send order. Runs under whichever
-/// mailbox `CHILLER_MAILBOX` selects (CI runs both).
+/// peer's payloads complete and in send order (`run_flood` checks the
+/// event count).
 #[test]
 fn batched_draining_preserves_per_link_fifo_under_flood() {
     let per_link = 2_000u64;
-    let actors: Vec<Flood> = (0..NODES)
-        .map(|_| Flood {
-            nodes: NODES,
-            per_link,
-            seen: (0..NODES).map(|_| Vec::new()).collect(),
-        })
-        .collect();
     // Capacity 8 guarantees most sends overflow into the parked queues.
-    let mut rt = ThreadedRuntime::with_mailbox_capacity(actors, 8);
-    rt.run_to_quiescence(u64::MAX);
-    let seen: Vec<Vec<Vec<u64>>> = rt.actors().iter().map(|a| a.seen.clone()).collect();
-    assert_links_fifo(&seen, per_link, "env-default mailbox");
-    let stats = rt.stats();
-    let links = (NODES * (NODES - 1)) as u64;
-    assert_eq!(stats.events_processed, links * per_link);
-}
-
-/// Differential per-link FIFO: the channel backend is the oracle — its
-/// per-link sequences are asserted against the contract directly — and
-/// the ring backend's correctness is then established *only* through the
-/// cross-backend comparison, so the ring is deliberately not checked
-/// against the expected sequence itself: if ring delivery ever reordered
-/// or dropped a payload, this is the assert that names the diverging
-/// link. (Cross-link interleaving is scheduler noise on both backends;
-/// the per-link sequence is the contract.)
-#[test]
-fn ring_delivery_order_matches_channel_per_link() {
-    let per_link = 2_000u64;
-    let ring = run_flood(MailboxKind::Ring, 8, per_link);
-    let channel = run_flood(MailboxKind::Channel, 8, per_link);
-    assert_links_fifo(&channel, per_link, "channel (oracle)");
-    assert_eq!(
-        ring, channel,
-        "ring mailboxes diverged from the channel oracle on some link's delivery order"
-    );
+    let seen = run_flood(8, per_link);
+    assert_links_fifo(&seen, per_link, "capacity-8 ring");
 }
 
 /// Capacity-1 rings under the all-pairs flood: every slot contends, every
@@ -265,7 +174,7 @@ fn ring_delivery_order_matches_channel_per_link() {
 #[test]
 fn capacity_one_rings_survive_all_pairs_flood() {
     let per_link = 500u64;
-    let seen = run_flood(MailboxKind::Ring, 1, per_link);
+    let seen = run_flood(1, per_link);
     assert_links_fifo(&seen, per_link, "capacity-1 ring");
 }
 
@@ -293,10 +202,9 @@ impl Actor<u64> for Ring {
 /// outstanding-work counter is published per batch, not per event; long
 /// concurrent relay cascades must still run to completion — an early
 /// quiescence verdict would cut a cascade short and break the hop count.
-/// Pinned to ring mailboxes explicitly: the ring path replaces the
-/// channel's blocking receive with the park/unpark handshake, and a lost
-/// wakeup or a mis-ordered delta publication would surface here as a
-/// cascade cut short or a hang.
+/// Rings have no blocking receive, so idle workers rely on the park/unpark
+/// handshake: a lost wakeup or a mis-ordered delta publication would
+/// surface here as a cascade cut short or a hang.
 #[test]
 fn quiescence_detection_survives_batching() {
     let cascades = 8u64;
@@ -307,14 +215,7 @@ fn quiescence_detection_survives_batching() {
             relayed: 0,
         })
         .collect();
-    let mut rt = ThreadedRuntime::with_config(
-        actors,
-        ThreadedConfig {
-            capacity: chiller_simnet::DEFAULT_MAILBOX_CAPACITY,
-            mailbox: MailboxKind::Ring,
-            pin: PinPolicy::Off,
-        },
-    );
+    let mut rt = ThreadedRuntime::new(actors);
     // Seed the cascades from the control plane, spread around the ring.
     for c in 0..cascades {
         rt.with_actor_ctx(NodeId((c % NODES as u64) as u32), &mut |_a, ctx| {

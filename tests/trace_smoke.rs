@@ -32,8 +32,6 @@ fn run_traced(backend: Backend) -> (RunReport, TraceLog) {
         Protocol::Chiller,
         sim,
         backend,
-        Some(MailboxKind::Ring),
-        Some(PinPolicy::Off),
         Some(2),
         Some(TraceMode::Full),
     );
@@ -128,9 +126,8 @@ fn threaded_full_trace_exports_parse() {
 
     // Telemetry must reflect a real threaded run and reach the report.
     assert!(report.telemetry.batches_drained > 0);
-    assert_eq!(report.mailbox, Some(MailboxKind::Ring));
     let prom = report.prometheus();
-    assert!(prom.contains("chiller_run_info{backend=\"threaded\",mailbox=\"ring\""));
+    assert!(prom.contains("chiller_run_info{backend=\"threaded\",workers=\"4\"} 1\n"));
     assert!(prom.contains("chiller_runtime_batches_drained"));
 }
 
@@ -182,5 +179,5 @@ fn async_full_trace_exports_parse() {
     assert_eq!(report.workers, 2);
     assert!(report
         .prometheus()
-        .contains("chiller_run_info{backend=\"async\",mailbox=\"ring\",workers=\"2\""));
+        .contains("chiller_run_info{backend=\"async\",workers=\"2\"} 1\n"));
 }
