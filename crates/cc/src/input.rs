@@ -56,6 +56,13 @@ impl ProcRegistry {
 /// time-varying workloads (hotspot shifts, diurnal skew) reproducibly.
 pub trait InputSource: Send {
     fn next_input(&mut self, rng: &mut StdRng, now: SimTime) -> TxnInput;
+
+    /// Called once per source by the cluster builder, after recovery and
+    /// before the first [`next_input`](Self::next_input), with the restart
+    /// epoch of the durable directory (0 for a volatile or fresh cluster).
+    /// Sources that mint fresh record keys salt their sequences with it so
+    /// a restarted incarnation never re-mints a key a dead one inserted.
+    fn resume_at_epoch(&mut self, _epoch: u64) {}
 }
 
 /// Fixed round-robin over a list of inputs — used by tests.

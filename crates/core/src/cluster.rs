@@ -226,7 +226,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Provide each node's transaction input stream.
+    /// Provide each node's transaction input stream. A later call replaces
+    /// the earlier factory.
     pub fn source_per_node(
         &mut self,
         f: impl Fn(NodeId) -> Box<dyn InputSource> + 'static,
@@ -469,7 +470,10 @@ impl ClusterBuilder {
             write_epoch(&d.dir, epoch)?;
             recovery = Some(rep);
         }
-        let txn_seq_start = recovery.as_ref().map_or(0, |r| r.epoch << 32);
+        // Each incarnation owns its epoch's band of transaction ids, and its
+        // sources are told the epoch to salt the keys they mint.
+        let epoch = recovery.as_ref().map_or(0, |r| r.epoch);
+        let txn_seq_start = epoch << 32;
         let (durable_dir, mut wals): (Option<PathBuf>, Vec<Option<Wal>>) = match durability {
             Some(d) => (Some(d.dir), d.wals.into_iter().map(Some).collect()),
             None => (None, (0..self.nodes).map(|_| None).collect()),
@@ -500,6 +504,8 @@ impl ClusterBuilder {
             } else {
                 HistoryRecorder::disabled()
             };
+            let mut source = source_factory(node);
+            source.resume_at_epoch(epoch);
             actors.push(EngineActor::new(EngineParams {
                 node,
                 num_nodes: self.nodes,
@@ -510,7 +516,7 @@ impl ClusterBuilder {
                 hot: hot_set.clone(),
                 store,
                 replicas: reps,
-                source: source_factory(node),
+                source,
                 monitor,
                 tracer,
                 recorder,
@@ -581,17 +587,6 @@ fn read_epoch(dir: &Path) -> u64 {
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(0)
-}
-
-/// The recovery epoch recorded in a durable directory: 0 for a fresh (or
-/// never-crashed) directory, bumped by every recovering build. Workload
-/// sources that mint fresh record keys (e.g. TPC-C HISTORY rows) salt
-/// their sequences with this so a restarted incarnation never re-mints a
-/// key a dead one already inserted. Read it from inside a
-/// [`ClusterBuilder::source_per_node`] closure: the builder writes the
-/// bumped epoch before it constructs sources.
-pub fn wal_epoch(dir: &Path) -> u64 {
-    read_epoch(dir)
 }
 
 fn write_epoch(dir: &Path, e: u64) -> Result<()> {

@@ -220,26 +220,27 @@ impl Placement for FlightPlacement {
     }
 }
 
-/// Build the flight cluster.
-pub fn build_cluster(
+/// A flight-booking cluster builder: the Figure 4 booking procedure,
+/// flights and customers with their placement and hot set, and one
+/// [`FlightSource`] per node.
+pub fn builder(
     cfg: &FlightConfig,
     nodes: usize,
     protocol: Protocol,
     sim: SimConfig,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(FlightConfig::schema(), nodes);
-    let proc = builder.register_proc(booking_proc());
-    builder
-        .protocol(protocol)
+) -> ClusterBuilder {
+    let mut b = ClusterBuilder::new(FlightConfig::schema(), nodes);
+    let proc = b.register_proc(booking_proc());
+    let cfg = cfg.clone();
+    b.protocol(protocol)
         .config(sim)
         .placement(Arc::new(FlightPlacement {
             partitions: nodes as u32,
         }))
         .hot_records(cfg.hot_records())
-        .load(cfg.initial_records());
-    let cfg = cfg.clone();
-    builder.source_per_node(move |_| Box::new(FlightSource::new(&cfg, proc)));
-    builder.build().expect("valid flight cluster")
+        .load(cfg.initial_records())
+        .source_per_node(move |_| Box::new(FlightSource::new(&cfg, proc)));
+    b
 }
 
 #[cfg(test)]
@@ -264,7 +265,9 @@ mod tests {
             customers: 100,
             ..Default::default()
         };
-        let mut cluster = build_cluster(&cfg, 4, Protocol::Chiller, SimConfig::default());
+        let mut cluster = builder(&cfg, 4, Protocol::Chiller, SimConfig::default())
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(1, 5));
         assert!(report.total_commits() > 50, "{}", report.summary());
         cluster.quiesce();
@@ -294,7 +297,9 @@ mod tests {
             theta: 0.0,
             ..Default::default()
         };
-        let mut cluster = build_cluster(&cfg, 2, Protocol::Chiller, SimConfig::default());
+        let mut cluster = builder(&cfg, 2, Protocol::Chiller, SimConfig::default())
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(0, 5));
         // At most 10 seats exist.
         assert!(report.total_commits() <= 10);

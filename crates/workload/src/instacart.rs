@@ -343,33 +343,32 @@ impl<P: Placement> Placement for InstacartPlacement<P> {
     }
 }
 
-/// Build an Instacart cluster over an arbitrary placement (hash / Schism /
-/// Chiller — the Figure 7 comparison).
-pub fn build_cluster(
+/// An Instacart cluster builder over an arbitrary stock placement (hash /
+/// Schism / Chiller — the Figure 7 comparison) and hot set, with one
+/// [`InstacartSource`] per node.
+pub fn builder(
     cfg: &InstacartConfig,
     nodes: usize,
     stock_placement: Arc<dyn Placement + Send + Sync>,
     hot: Vec<RecordId>,
     protocol: Protocol,
     sim: SimConfig,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(InstacartConfig::schema(), nodes);
-    let procs = register_procs(|p| builder.register_proc(p));
-    let placement = Arc::new(InstacartPlacement {
-        stock: stock_placement,
-        partitions: nodes as u32,
-    });
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .placement(placement)
-        .hot_records(hot)
-        .load(cfg.initial_records());
+) -> ClusterBuilder {
+    let mut b = ClusterBuilder::new(InstacartConfig::schema(), nodes);
+    let procs = register_procs(|p| b.register_proc(p));
     let cfg = cfg.clone();
-    builder.source_per_node(move |node| {
-        Box::new(InstacartSource::new(&cfg, procs.clone(), node.0 as u64))
-    });
-    builder.build().expect("valid instacart cluster")
+    b.protocol(protocol)
+        .config(sim)
+        .placement(Arc::new(InstacartPlacement {
+            stock: stock_placement,
+            partitions: nodes as u32,
+        }))
+        .hot_records(hot)
+        .load(cfg.initial_records())
+        .source_per_node(move |node| {
+            Box::new(InstacartSource::new(&cfg, procs.clone(), node.0 as u64))
+        });
+    b
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! * [`flight`] — the paper's Figure 4 flight-booking procedure as a
 //!   runnable workload (used by the `flight_booking` example).
 //! * [`transfer`] — a minimal money-transfer microworkload with a
-//!   controllable hot set (used by the quickstart and ablation benches).
+//!   controllable hot set (used by the quickstart example and the parity
+//!   and stress suites).
 //! * [`ycsb`] — a YCSB-style key-value microworkload with Zipfian skew,
 //!   for controlled studies of the engines.
 //! * [`shift`] — hotspot-*shifting* wrappers over any source: the drifting
@@ -22,6 +23,13 @@
 //! * [`smallbank`] — the classic write-heavy SmallBank banking mix with a
 //!   countable conservation invariant: the certification workload for the
 //!   black-box serializability checker (`CHILLER_CHECK`).
+//!
+//! Each workload module exposes one `builder(cfg, …, protocol, sim)` that
+//! returns a [`ClusterBuilder`](chiller::cluster::ClusterBuilder) with the
+//! schema, procedures, placement, hot set, initial records and one input
+//! source per node already set. The caller picks the backend, worker
+//! count, trace, check, durability and adaptation on it and calls
+//! `build()`; a setter left uncalled keeps its `CHILLER_*` default.
 
 pub mod flight;
 pub mod instacart;

@@ -46,6 +46,10 @@ impl<S: InputSource> InputSource for ShiftedSource<S> {
         }
         input
     }
+
+    fn resume_at_epoch(&mut self, epoch: u64) {
+        self.inner.resume_at_epoch(epoch);
+    }
 }
 
 /// Remap rotating a key parameter by `rotate` modulo `modulus`.

@@ -360,62 +360,26 @@ impl InputSource for SmallBankSource {
     }
 }
 
-/// Build a SmallBank cluster on the deterministic simulator.
-pub fn build_cluster(
+/// A SmallBank cluster builder: the six procedures, the accounts with
+/// their placement and hot set, and one [`SmallBankSource`] per node. The
+/// caller picks the backend, check mode and durability on the returned
+/// builder.
+pub fn builder(
     cfg: &SmallBankConfig,
     nodes: usize,
     protocol: Protocol,
     sim: SimConfig,
-) -> Cluster {
-    build_cluster_checked(cfg, nodes, protocol, sim, Backend::Simulated, None)
-}
-
-/// Build a SmallBank cluster on an explicit backend, optionally with an
-/// explicit serializability-check mode (`None` defers to the
-/// `CHILLER_CHECK` environment knob). The
-/// checker certification suites drive all protocols × backends through
-/// this door.
-pub fn build_cluster_checked(
-    cfg: &SmallBankConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    check: Option<CheckMode>,
-) -> Cluster {
-    build_cluster_durable(cfg, nodes, protocol, sim, backend, check, None)
-}
-
-/// [`build_cluster_checked`] with an explicit durable directory (`None`
-/// defers to the `CHILLER_WAL` environment knob): per-node redo logs land
-/// under `dir` and a rebuild against the same directory recovers.
-pub fn build_cluster_durable(
-    cfg: &SmallBankConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    check: Option<CheckMode>,
-    durable: Option<&std::path::Path>,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(SmallBankConfig::schema(), nodes);
-    let procs = register_procs(|p| builder.register_proc(p));
-    builder
-        .protocol(protocol)
+) -> ClusterBuilder {
+    let mut b = ClusterBuilder::new(SmallBankConfig::schema(), nodes);
+    let procs = register_procs(|p| b.register_proc(p));
+    let cfg = cfg.clone();
+    b.protocol(protocol)
         .config(sim)
-        .runtime(backend)
         .placement(Arc::new(cfg.placement(nodes as u32)))
         .hot_records(cfg.hot_records())
-        .load(cfg.initial_records());
-    if let Some(mode) = check {
-        builder.check(mode);
-    }
-    if let Some(dir) = durable {
-        builder.durable(dir);
-    }
-    let cfg = cfg.clone();
-    builder.source_per_node(move |_| Box::new(SmallBankSource::new(cfg.clone(), procs)));
-    builder.build().expect("valid smallbank cluster")
+        .load(cfg.initial_records())
+        .source_per_node(move |_| Box::new(SmallBankSource::new(cfg.clone(), procs)));
+    b
 }
 
 /// Sum of every checking and savings balance across primaries.
@@ -508,7 +472,9 @@ mod tests {
     fn conservation_under_all_protocols() {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = SmallBankConfig::default();
-            let mut cluster = build_cluster(&cfg, 3, protocol, SimConfig::default());
+            let mut cluster = builder(&cfg, 3, protocol, SimConfig::default())
+                .build()
+                .unwrap();
             let report = cluster.run(RunSpec::millis(0, 5));
             assert!(report.total_commits() > 0, "{protocol}");
             cluster.quiesce();
@@ -519,7 +485,9 @@ mod tests {
     #[test]
     fn mix_exercises_every_procedure() {
         let cfg = SmallBankConfig::default();
-        let mut cluster = build_cluster(&cfg, 2, Protocol::Chiller, SimConfig::default());
+        let mut cluster = builder(&cfg, 2, Protocol::Chiller, SimConfig::default())
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(0, 10));
         cluster.quiesce();
         for name in [

@@ -36,10 +36,7 @@ pub use gen::{load_tpcc, TpccConfig};
 pub use invariants::assert_tpcc_invariants;
 pub use procs::{register_procs, TpccProcs};
 pub use schema::{keys, tables, tpcc_schema, TpccPlacement};
-pub use source::{
-    build_tpcc_cluster, build_tpcc_cluster_full, build_tpcc_cluster_on, build_tpcc_cluster_traced,
-    TpccMix, TpccSource,
-};
+pub use source::{builder, TpccMix, TpccSource};
 
 use chiller_common::ids::RecordId;
 

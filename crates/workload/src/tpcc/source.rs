@@ -1,5 +1,5 @@
-//! TPC-C input generation (the closed-loop client of each engine) and a
-//! one-call cluster builder.
+//! TPC-C input generation (the closed-loop client of each engine) and the
+//! workload's cluster builder.
 
 use super::gen::{load_tpcc, TpccConfig};
 use super::procs::{register_procs, TpccProcs, MAX_LINES, MIN_LINES, STOCK_LEVEL_LINES};
@@ -90,20 +90,6 @@ impl TpccSource {
             nurand_c,
             nurand_i,
         }
-    }
-
-    /// Start the HISTORY-row key sequence at `first`. Payment mints fresh
-    /// HISTORY keys from this counter, so a restarted durable incarnation
-    /// must not begin at 0 again — salt with the recovery epoch
-    /// (`chiller::cluster::wal_epoch(dir) << 32`) to keep every
-    /// incarnation's keys disjoint.
-    pub fn with_first_history_seq(mut self, first: u64) -> Self {
-        assert!(
-            first < (1 << 40),
-            "history seq must fit the key's 40-bit sequence field"
-        );
-        self.history_seq = first;
-        self
     }
 
     fn other_warehouse(&self, rng: &mut StdRng) -> u64 {
@@ -241,106 +227,51 @@ impl InputSource for TpccSource {
             self.stock_level(rng)
         }
     }
+
+    /// Payment mints HISTORY keys from `history_seq`; starting each
+    /// incarnation at `epoch << 32` keeps their keys disjoint.
+    fn resume_at_epoch(&mut self, epoch: u64) {
+        assert!(
+            epoch < 1 << 8,
+            "history seq must fit the key's 40-bit sequence field"
+        );
+        self.history_seq = epoch << 32;
+    }
 }
 
-/// Build a TPC-C cluster: one warehouse per node (the paper's §7.3
+/// A TPC-C cluster builder: one warehouse per node (the paper's §7.3
 /// deployment), warehouse placement, hot district/warehouse rows for
-/// Chiller's lookup table. Runs on the deterministic simulator; see
-/// [`build_tpcc_cluster_on`] for an explicit backend.
-pub fn build_tpcc_cluster(
+/// Chiller's lookup table, each engine's source homed at its warehouse.
+/// The caller picks the backend, modes and durability on the returned
+/// builder.
+pub fn builder(
     cfg: &TpccConfig,
     mix: TpccMix,
     protocol: Protocol,
     sim: SimConfig,
-) -> Cluster {
-    build_tpcc_cluster_on(cfg, mix, protocol, sim, Backend::Simulated)
-}
-
-/// Build a TPC-C cluster on an explicit execution backend — identical
-/// schema, placement, procedures and sources either way, so the
-/// simulated Figure 9 and its threaded wall-clock companion are directly
-/// comparable. On [`Backend::Threaded`] each warehouse's engine (and its
-/// input source) runs on its own OS thread.
-pub fn build_tpcc_cluster_on(
-    cfg: &TpccConfig,
-    mix: TpccMix,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-) -> Cluster {
-    build_tpcc_cluster_traced(cfg, mix, protocol, sim, backend, None)
-}
-
-/// [`build_tpcc_cluster_on`] with an explicit lifecycle-trace mode
-/// (`None` defers to the `CHILLER_TRACE` environment knob) — the door
-/// the TPC-C trace smoke drives all three backends through.
-pub fn build_tpcc_cluster_traced(
-    cfg: &TpccConfig,
-    mix: TpccMix,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    trace: Option<TraceMode>,
-) -> Cluster {
-    build_tpcc_cluster_full(cfg, mix, protocol, sim, backend, trace, None, None)
-}
-
-/// The fully-parameterized TPC-C cluster door: explicit trace mode,
-/// serializability-check mode, and durable directory (`None` defers each
-/// to its environment knob). The crash-recovery suite drives every
-/// backend through this — once to kill, once to recover against the same
-/// directory.
-#[allow(clippy::too_many_arguments)]
-pub fn build_tpcc_cluster_full(
-    cfg: &TpccConfig,
-    mix: TpccMix,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    trace: Option<TraceMode>,
-    check: Option<CheckMode>,
-    durable: Option<&std::path::Path>,
-) -> Cluster {
+) -> ClusterBuilder {
     assert_eq!(
         cfg.warehouses as usize as u64, cfg.warehouses,
         "warehouse count fits usize"
     );
     let nodes = cfg.warehouses as usize;
-    let mut builder = ClusterBuilder::new(tpcc_schema(), nodes);
-    let procs = register_procs(|p| builder.register_proc(p));
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .runtime(backend)
-        .placement(Arc::new(TpccPlacement::new(nodes as u32)))
-        .hot_records(super::hot_records(cfg))
-        .load(load_tpcc(cfg));
-    if let Some(mode) = trace {
-        builder.trace(mode);
-    }
-    if let Some(mode) = check {
-        builder.check(mode);
-    }
-    if let Some(dir) = durable {
-        builder.durable(dir);
-    }
+    let mut b = ClusterBuilder::new(tpcc_schema(), nodes);
+    let procs = register_procs(|p| b.register_proc(p));
     let cfg = cfg.clone();
-    // Sources are constructed after the builder's recovery pass has bumped
-    // the epoch file, so a post-crash incarnation salts its HISTORY key
-    // sequence and never collides with rows a dead incarnation inserted.
-    let wal_dir = durable.map(std::path::Path::to_path_buf).or_else(|| {
-        std::env::var("CHILLER_WAL")
-            .ok()
-            .map(std::path::PathBuf::from)
-    });
-    builder.source_per_node(move |node| {
-        let epoch = wal_dir.as_deref().map_or(0, chiller::cluster::wal_epoch);
-        Box::new(
-            TpccSource::new(cfg.clone(), procs.clone(), mix, node.0 as u64 + 1)
-                .with_first_history_seq(epoch << 32),
-        )
-    });
-    builder.build().expect("valid TPC-C cluster")
+    b.protocol(protocol)
+        .config(sim)
+        .placement(Arc::new(TpccPlacement::new(nodes as u32)))
+        .hot_records(super::hot_records(&cfg))
+        .load(load_tpcc(&cfg))
+        .source_per_node(move |node| {
+            Box::new(TpccSource::new(
+                cfg.clone(),
+                procs.clone(),
+                mix,
+                node.0 as u64 + 1,
+            ))
+        });
+    b
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Money-transfer microworkload with a controllable hot set.
 //!
-//! Used by the quickstart example, ablation benches and tests: `n` accounts,
-//! a fraction of transfers touching a small hot set, total balance conserved
-//! under serializability.
+//! Used by the quickstart example and the parity, stress and trace suites:
+//! `n` accounts, a fraction of transfers touching a small hot set, total
+//! balance conserved under serializability.
 
 use chiller::prelude::*;
 use rand::rngs::StdRng;
@@ -119,19 +119,41 @@ impl InputSource for TransferSource {
     }
 }
 
-/// A hot-set-shifting transfer source: from `shift_at` on, hot endpoints
-/// `0..hot_set` are relabeled to `new_base..new_base + hot_set` — the
-/// contention point jumps to accounts the frozen layout scattered by hash.
+/// A transfer cluster builder with the Chiller-style hot-set placement:
+/// the transfer procedure (id 0), the accounts, and one
+/// [`TransferSource`] per node. The caller picks the backend and modes on
+/// the returned builder.
+pub fn builder(
+    cfg: &TransferConfig,
+    nodes: usize,
+    protocol: Protocol,
+    sim: SimConfig,
+) -> ClusterBuilder {
+    let mut b = ClusterBuilder::new(TransferConfig::schema(), nodes);
+    let proc = b.register_proc(transfer_proc());
+    let cfg = cfg.clone();
+    b.protocol(protocol)
+        .config(sim)
+        .placement(Arc::new(cfg.chiller_placement(nodes as u32)))
+        .hot_records(cfg.hot_records())
+        .load(cfg.initial_records())
+        .source_per_node(move |_| Box::new(TransferSource::new(cfg.clone(), proc)));
+    b
+}
+
+/// A hot-set-shifting transfer source for a cluster from [`builder`]: from
+/// `shift_at` on, hot endpoints `0..hot_set` are relabeled to
+/// `new_base..new_base + hot_set` — the contention point jumps to accounts
+/// the frozen layout scattered by hash.
 pub fn shifting_source(
     cfg: &TransferConfig,
-    proc: usize,
     shift_at: SimTime,
     new_base: u64,
 ) -> crate::shift::ShiftedSource<TransferSource> {
     assert!(new_base + cfg.hot_set <= cfg.accounts);
     let hot_set = cfg.hot_set;
     crate::shift::ShiftedSource::new(
-        TransferSource::new(cfg.clone(), proc),
+        TransferSource::new(cfg.clone(), 0),
         shift_at,
         move |input| {
             for p in input.params.iter_mut().take(2) {
@@ -142,125 +164,6 @@ pub fn shifting_source(
             }
         },
     )
-}
-
-/// Build a transfer cluster whose hot set jumps to `new_base` at
-/// `shift_at`, optionally with the online-adaptation loop enabled.
-pub fn build_shifting_cluster(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    shift_at: SimTime,
-    new_base: u64,
-    adaptive: Option<AdaptiveConfig>,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(TransferConfig::schema(), nodes);
-    let proc = builder.register_proc(transfer_proc());
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .placement(Arc::new(cfg.chiller_placement(nodes as u32)))
-        .hot_records(cfg.hot_records())
-        .load(cfg.initial_records());
-    if let Some(a) = adaptive {
-        builder.adaptive(a);
-    }
-    let cfg = cfg.clone();
-    builder.source_per_node(move |_| Box::new(shifting_source(&cfg, proc, shift_at, new_base)));
-    builder.build().expect("valid shifting transfer cluster")
-}
-
-/// Build a transfer cluster with the Chiller-style hot-set placement on
-/// the deterministic simulator.
-pub fn build_cluster(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-) -> Cluster {
-    build_cluster_on(cfg, nodes, protocol, sim, Backend::Simulated)
-}
-
-/// Build a transfer cluster on an explicit execution backend — the same
-/// schema, placement, procedures and sources either way, so simulated and
-/// threaded runs are directly comparable.
-pub fn build_cluster_on(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-) -> Cluster {
-    build_cluster_scaled(cfg, nodes, protocol, sim, backend, None)
-}
-
-/// [`build_cluster_on`] with an explicit async worker-pool size
-/// (`None` defers to `CHILLER_WORKERS` / detected parallelism). The
-/// scaling sweep in `bench_async_scale` drives its partitions × workers
-/// matrix through this door; the other backends ignore the knob.
-pub fn build_cluster_scaled(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    workers: Option<usize>,
-) -> Cluster {
-    build_cluster_traced(cfg, nodes, protocol, sim, backend, workers, None)
-}
-
-/// [`build_cluster_scaled`] with an explicit lifecycle-trace mode (`None`
-/// defers to the `CHILLER_TRACE` environment knob). The trace smoke suite
-/// and `bench_trace_overhead` drive all modes through this door.
-pub fn build_cluster_traced(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    workers: Option<usize>,
-    trace: Option<TraceMode>,
-) -> Cluster {
-    build_cluster_checked(cfg, nodes, protocol, sim, backend, workers, trace, None)
-}
-
-/// [`build_cluster_traced`] with an explicit serializability-check mode
-/// (`None` defers to the `CHILLER_CHECK` environment knob). The checker
-/// parity suites and `bench_check_overhead` drive all modes through this
-/// door.
-#[allow(clippy::too_many_arguments)]
-pub fn build_cluster_checked(
-    cfg: &TransferConfig,
-    nodes: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    backend: Backend,
-    workers: Option<usize>,
-    trace: Option<TraceMode>,
-    check: Option<CheckMode>,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(TransferConfig::schema(), nodes);
-    let proc = builder.register_proc(transfer_proc());
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .runtime(backend)
-        .placement(Arc::new(cfg.chiller_placement(nodes as u32)))
-        .hot_records(cfg.hot_records())
-        .load(cfg.initial_records());
-    if let Some(n) = workers {
-        builder.workers(n);
-    }
-    if let Some(mode) = trace {
-        builder.trace(mode);
-    }
-    if let Some(mode) = check {
-        builder.check(mode);
-    }
-    let cfg = cfg.clone();
-    builder.source_per_node(move |_| Box::new(TransferSource::new(cfg.clone(), proc)));
-    builder.build().expect("valid transfer cluster")
 }
 
 /// Assert the post-quiescence serializability contract on a transfer
@@ -310,7 +213,9 @@ mod tests {
     fn conservation_under_all_protocols() {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = TransferConfig::default();
-            let mut cluster = build_cluster(&cfg, 3, protocol, SimConfig::default());
+            let mut cluster = builder(&cfg, 3, protocol, SimConfig::default())
+                .build()
+                .unwrap();
             let report = cluster.run(RunSpec::millis(1, 5));
             assert!(report.total_commits() > 0, "{protocol}");
             cluster.quiesce();

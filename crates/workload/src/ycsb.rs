@@ -127,92 +127,56 @@ impl InputSource for YcsbSource {
     }
 }
 
-/// A hotspot-shifting YCSB source: from `shift_at` on, every key `k`
-/// rotates to `(k + rotate) % records`, relocating the whole Zipf head to
-/// a different key range while keeping the skew shape identical.
+/// A YCSB cluster builder: one procedure per read/write split (ids
+/// `0..=ops_per_txn`, in read-count order), hash placement, and one
+/// [`YcsbSource`] per node. With `hot_lookup > 0` the hottest keys get
+/// lookup entries on partition 0 (the Chiller layout).
+pub fn builder(
+    cfg: &YcsbConfig,
+    nodes: usize,
+    hot_lookup: usize,
+    protocol: Protocol,
+    sim: SimConfig,
+) -> ClusterBuilder {
+    let mut b = ClusterBuilder::new(YcsbConfig::schema(), nodes);
+    let procs = register_procs(cfg.ops_per_txn, |p| b.register_proc(p));
+    let placement: Arc<dyn Placement + Send + Sync> = if hot_lookup > 0 {
+        Arc::new(LookupTable::with_entries(
+            (0..hot_lookup as u64).map(|k| (RecordId::new(KV, k), PartitionId(0))),
+            HashPlacement::new(nodes as u32),
+        ))
+    } else {
+        Arc::new(HashPlacement::new(nodes as u32))
+    };
+    let cfg = cfg.clone();
+    b.protocol(protocol)
+        .config(sim)
+        .placement(placement)
+        .hot_records(cfg.hot_records(hot_lookup))
+        .load(cfg.initial_records())
+        .source_per_node(move |_| Box::new(YcsbSource::new(&cfg, procs.clone())));
+    b
+}
+
+/// A hotspot-shifting YCSB source for a cluster from [`builder`]: from
+/// `shift_at` on, every key `k` rotates to `(k + rotate) % records`,
+/// relocating the whole Zipf head to a different key range while keeping
+/// the skew shape identical.
 pub fn shifting_source(
     cfg: &YcsbConfig,
-    procs: YcsbProcs,
     shift_at: SimTime,
     rotate: u64,
 ) -> crate::shift::ShiftedSource<YcsbSource> {
+    let procs = YcsbProcs {
+        procs: (0..=cfg.ops_per_txn).collect(),
+        ops: cfg.ops_per_txn,
+    };
     let records = cfg.records;
     crate::shift::ShiftedSource::new(YcsbSource::new(cfg, procs), shift_at, move |input| {
         for p in &mut input.params {
             *p = crate::shift::rotate_key(p, rotate, records);
         }
     })
-}
-
-/// Build a YCSB cluster whose hotspot rotates by `rotate` keys at
-/// `shift_at` — the drifting workload of the adaptive-recovery experiment.
-/// `adaptive` switches the cluster between the frozen layout (None) and
-/// the online feedback loop (Some).
-#[allow(clippy::too_many_arguments)]
-pub fn build_shifting_cluster(
-    cfg: &YcsbConfig,
-    nodes: usize,
-    hot_lookup: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-    shift_at: SimTime,
-    rotate: u64,
-    adaptive: Option<AdaptiveConfig>,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(YcsbConfig::schema(), nodes);
-    let procs = register_procs(cfg.ops_per_txn, |p| builder.register_proc(p));
-    let placement: Arc<dyn Placement + Send + Sync> = if hot_lookup > 0 {
-        Arc::new(LookupTable::with_entries(
-            (0..hot_lookup as u64).map(|k| (RecordId::new(KV, k), PartitionId(0))),
-            HashPlacement::new(nodes as u32),
-        ))
-    } else {
-        Arc::new(HashPlacement::new(nodes as u32))
-    };
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .placement(placement)
-        .hot_records(cfg.hot_records(hot_lookup))
-        .load(cfg.initial_records());
-    if let Some(a) = adaptive {
-        builder.adaptive(a);
-    }
-    let cfg2 = cfg.clone();
-    builder.source_per_node(move |_| {
-        Box::new(shifting_source(&cfg2, procs.clone(), shift_at, rotate))
-    });
-    builder.build().expect("valid shifting ycsb cluster")
-}
-
-/// Build a YCSB cluster; hot keys get lookup entries on partition 0 when
-/// `hot_lookup > 0` (the Chiller layout).
-pub fn build_cluster(
-    cfg: &YcsbConfig,
-    nodes: usize,
-    hot_lookup: usize,
-    protocol: Protocol,
-    sim: SimConfig,
-) -> Cluster {
-    let mut builder = ClusterBuilder::new(YcsbConfig::schema(), nodes);
-    let procs = register_procs(cfg.ops_per_txn, |p| builder.register_proc(p));
-    let placement: Arc<dyn Placement + Send + Sync> = if hot_lookup > 0 {
-        Arc::new(LookupTable::with_entries(
-            (0..hot_lookup as u64).map(|k| (RecordId::new(KV, k), PartitionId(0))),
-            HashPlacement::new(nodes as u32),
-        ))
-    } else {
-        Arc::new(HashPlacement::new(nodes as u32))
-    };
-    builder
-        .protocol(protocol)
-        .config(sim)
-        .placement(placement)
-        .hot_records(cfg.hot_records(hot_lookup))
-        .load(cfg.initial_records());
-    let cfg2 = cfg.clone();
-    builder.source_per_node(move |_| Box::new(YcsbSource::new(&cfg2, procs.clone())));
-    builder.build().expect("valid ycsb cluster")
 }
 
 #[cfg(test)]
@@ -269,7 +233,7 @@ mod tests {
         let mut sim = SimConfig::default();
         sim.engine.concurrency = 3;
         sim.seed = 21;
-        let mut cluster = build_cluster(&cfg, 3, 0, Protocol::Chiller, sim);
+        let mut cluster = builder(&cfg, 3, 0, Protocol::Chiller, sim).build().unwrap();
         let report = cluster.run(RunSpec::millis(1, 5));
         assert!(report.total_commits() > 100);
         cluster.quiesce();
@@ -308,7 +272,9 @@ mod tests {
             let mut sim = SimConfig::default();
             sim.engine.concurrency = 6;
             sim.seed = 33;
-            let mut cluster = build_cluster(&cfg, 4, 0, Protocol::TwoPhaseLocking, sim);
+            let mut cluster = builder(&cfg, 4, 0, Protocol::TwoPhaseLocking, sim)
+                .build()
+                .unwrap();
             cluster.run(RunSpec::millis(1, 5)).abort_rate()
         };
         let uniform = run(0.0);
@@ -331,7 +297,7 @@ mod tests {
             let mut sim = SimConfig::default();
             sim.engine.concurrency = 6;
             sim.seed = 5;
-            let mut cluster = build_cluster(&cfg, 4, hot, protocol, sim);
+            let mut cluster = builder(&cfg, 4, hot, protocol, sim).build().unwrap();
             cluster.run(RunSpec::millis(1, 8)).abort_rate()
         };
         let chiller = run(16, Protocol::Chiller);

@@ -58,7 +58,7 @@ fn main() {
         let mut sim = SimConfig::default();
         sim.engine.concurrency = 4;
         sim.seed = 7;
-        let mut cluster = flight::build_cluster(&cfg, 4, protocol, sim);
+        let mut cluster = flight::builder(&cfg, 4, protocol, sim).build().unwrap();
         let report = cluster.run(RunSpec::millis(1, 10));
         println!("{protocol:>8}: {}", report.summary());
     }

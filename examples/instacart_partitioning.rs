@@ -96,7 +96,9 @@ fn main() {
         let mut sim = SimConfig::default();
         sim.engine.concurrency = 4;
         sim.seed = 3;
-        let mut cluster = instacart::build_cluster(&cfg, k, placement, hot, protocol, sim);
+        let mut cluster = instacart::builder(&cfg, k, placement, hot, protocol, sim)
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(2, 10));
         println!("{name:>8}: {}", report.summary());
     }

@@ -7,7 +7,7 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::transfer::{build_cluster, total_balance, TransferConfig, INITIAL_BALANCE};
+use chiller_workload::transfer::{self, total_balance, TransferConfig, INITIAL_BALANCE};
 
 fn main() {
     let cfg = TransferConfig {
@@ -21,7 +21,7 @@ fn main() {
         let mut sim = SimConfig::default();
         sim.engine.concurrency = 4;
         sim.seed = 42;
-        let mut cluster = build_cluster(&cfg, 4, protocol, sim);
+        let mut cluster = transfer::builder(&cfg, 4, protocol, sim).build().unwrap();
 
         // 1 ms virtual warm-up, 10 ms measured.
         let report = cluster.run(RunSpec::millis(1, 10));

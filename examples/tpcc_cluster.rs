@@ -7,7 +7,7 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::tpcc::{build_tpcc_cluster, TpccConfig, TpccMix};
+use chiller_workload::tpcc::{self, TpccConfig, TpccMix};
 
 fn main() {
     let cfg = TpccConfig::with_warehouses(8);
@@ -24,7 +24,9 @@ fn main() {
             let mut sim = SimConfig::default();
             sim.engine.concurrency = conc;
             sim.seed = 1;
-            let mut cluster = build_tpcc_cluster(&cfg, TpccMix::default(), protocol, sim);
+            let mut cluster = tpcc::builder(&cfg, TpccMix::default(), protocol, sim)
+                .build()
+                .unwrap();
             let report = cluster.run(RunSpec::millis(2, 15));
             println!(
                 "{:<10} {:>4}  {:>12.1} {:>10.3} {:>12.1} {:>14.3}",

@@ -13,10 +13,7 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::transfer::{
-    assert_serializability_invariants, build_cluster, build_cluster_checked, build_cluster_scaled,
-    TransferConfig,
-};
+use chiller_workload::transfer::{self, assert_serializability_invariants, TransferConfig};
 
 const NODES: usize = 4;
 
@@ -46,14 +43,9 @@ fn run_async(
     measure_ms: u64,
 ) -> (Cluster, RunReport) {
     let cfg = contended_config();
-    let mut cluster = build_cluster_scaled(
-        &cfg,
-        NODES,
-        protocol,
-        sim_config(seed, 4),
-        Backend::Async,
-        Some(workers),
-    );
+    let mut b = transfer::builder(&cfg, NODES, protocol, sim_config(seed, 4));
+    b.runtime(Backend::Async).workers(workers);
+    let mut cluster = b.build().unwrap();
     assert_eq!(cluster.backend(), Backend::Async);
     let report = cluster.run(RunSpec::millis(10, measure_ms));
     cluster.quiesce();
@@ -82,7 +74,9 @@ fn async_and_simulated_uphold_the_same_contract_per_seed() {
             );
 
             // Oracle side: the deterministic simulator on the same seed.
-            let mut oracle = build_cluster(&cfg, NODES, protocol, sim_config(seed, 4));
+            let mut oracle = transfer::builder(&cfg, NODES, protocol, sim_config(seed, 4))
+                .build()
+                .unwrap();
             let oracle_report = oracle.run(RunSpec::millis(1, 10));
             assert!(
                 oracle_report.total_commits() > 0,
@@ -117,7 +111,9 @@ fn async_reports_are_labelled_with_backend_and_workers() {
     // The other backends' labels stay distinct: the simulator reports
     // zero workers (it runs on the calling thread).
     let cfg = contended_config();
-    let mut oracle = build_cluster(&cfg, NODES, Protocol::Chiller, sim_config(17, 4));
+    let mut oracle = transfer::builder(&cfg, NODES, Protocol::Chiller, sim_config(17, 4))
+        .build()
+        .unwrap();
     let oracle_report = oracle.run(RunSpec::millis(1, 5));
     assert_eq!(oracle_report.backend, Backend::Simulated);
     assert_eq!(oracle_report.workers, 0, "the simulator has no workers");
@@ -147,14 +143,9 @@ fn every_pool_size_upholds_invariants() {
 #[test]
 fn async_backend_survives_repeated_run_windows() {
     let cfg = contended_config();
-    let mut cluster = build_cluster_scaled(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(23, 4),
-        Backend::Async,
-        Some(2),
-    );
+    let mut b = transfer::builder(&cfg, NODES, Protocol::Chiller, sim_config(23, 4));
+    b.runtime(Backend::Async).workers(2);
+    let mut cluster = b.build().unwrap();
     let first = cluster.run(RunSpec::millis(5, 40));
     let more = cluster.run_more(Duration::from_millis(40));
     assert!(
@@ -178,16 +169,12 @@ fn checker_certifies_async_runs_on_both_mailboxes() {
     for seed in [11u64, 31] {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = contended_config();
-            let mut cluster = build_cluster_checked(
-                &cfg,
-                NODES,
-                protocol,
-                sim_config(seed, 4),
-                Backend::Async,
-                Some(2),
-                Some(TraceMode::Off),
-                Some(CheckMode::Window(256)),
-            );
+            let mut b = transfer::builder(&cfg, NODES, protocol, sim_config(seed, 4));
+            b.runtime(Backend::Async)
+                .workers(2)
+                .trace(TraceMode::Off)
+                .check(CheckMode::Window(256));
+            let mut cluster = b.build().unwrap();
             let report = cluster.run(RunSpec::millis(10, 100));
             assert!(
                 report.total_commits() > 0,
@@ -206,8 +193,8 @@ fn checker_certifies_async_runs_on_both_mailboxes() {
 }
 
 /// The multiplexing headline at cluster level: many more partitions than
-/// workers, full contract at drain. (The 1000-partition version runs in
-/// `bench_async_scale`; this keeps a fast always-on regression in CI.)
+/// workers, full contract at drain — small enough to run on every CI
+/// push.
 #[test]
 fn many_partitions_on_a_small_pool_uphold_invariants() {
     let nodes = 64usize;
@@ -216,14 +203,9 @@ fn many_partitions_on_a_small_pool_uphold_invariants() {
         hot_set: 8,
         hot_fraction: 0.3,
     };
-    let mut cluster = build_cluster_scaled(
-        &cfg,
-        nodes,
-        Protocol::Chiller,
-        sim_config(29, 4),
-        Backend::Async,
-        Some(2),
-    );
+    let mut b = transfer::builder(&cfg, nodes, Protocol::Chiller, sim_config(29, 4));
+    b.runtime(Backend::Async).workers(2);
+    let mut cluster = b.build().unwrap();
     let report = cluster.run(RunSpec::millis(10, 120));
     assert!(
         report.total_commits() > 0,

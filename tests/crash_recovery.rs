@@ -31,12 +31,9 @@ use chiller::prelude::*;
 use chiller_checker::check_history;
 use chiller_obs::HistoryEventKind;
 use chiller_workload::smallbank::{
-    assert_smallbank_invariants, assert_smallbank_invariants_recovered, build_cluster_durable,
-    SmallBankConfig,
+    self, assert_smallbank_invariants, assert_smallbank_invariants_recovered, SmallBankConfig,
 };
-use chiller_workload::tpcc::{
-    assert_tpcc_invariants, build_tpcc_cluster_full, TpccConfig, TpccMix,
-};
+use chiller_workload::tpcc::{self, assert_tpcc_invariants, TpccConfig, TpccMix};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -143,16 +140,9 @@ fn tpcc_crash_recover(
     let cfg = TpccConfig::with_warehouses(4);
     let kill_at = CrashPlan::new(seed).kill_point(0, Duration::from_millis(window_ms));
 
-    let mut c1 = build_tpcc_cluster_full(
-        &cfg,
-        TpccMix::default(),
-        protocol,
-        sim_config(seed),
-        backend,
-        None,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = tpcc::builder(&cfg, TpccMix::default(), protocol, sim_config(seed));
+    b.runtime(backend).check(CheckMode::Full).durable(&dir);
+    let mut c1 = b.build().unwrap();
     assert!(c1.durable(), "{label}: cluster must be durable");
     let r1 = c1.run_more(kill_at);
     assert!(
@@ -163,16 +153,9 @@ fn tpcc_crash_recover(
     let snap = c1.kill();
     certify_prekill(&snap, label);
 
-    let mut c2 = build_tpcc_cluster_full(
-        &cfg,
-        TpccMix::default(),
-        protocol,
-        sim_config(seed + 1),
-        backend,
-        None,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = tpcc::builder(&cfg, TpccMix::default(), protocol, sim_config(seed + 1));
+    b.runtime(backend).check(CheckMode::Full).durable(&dir);
+    let mut c2 = b.build().unwrap();
     let rec = c2
         .recovery()
         .expect("rebuild against a populated WAL dir must recover")
@@ -211,15 +194,9 @@ fn smallbank_crash_recover(
     let cfg = contended_config();
     let kill_at = CrashPlan::new(seed).kill_point(0, Duration::from_millis(window_ms));
 
-    let mut c1 = build_cluster_durable(
-        &cfg,
-        NODES,
-        protocol,
-        sim_config(seed),
-        backend,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, protocol, sim_config(seed));
+    b.runtime(backend).check(CheckMode::Full).durable(&dir);
+    let mut c1 = b.build().unwrap();
     let r1 = c1.run_more(kill_at);
     assert!(
         r1.total_commits() > 0,
@@ -229,15 +206,9 @@ fn smallbank_crash_recover(
     let snap = c1.kill();
     certify_prekill(&snap, label);
 
-    let mut c2 = build_cluster_durable(
-        &cfg,
-        NODES,
-        protocol,
-        sim_config(seed + 1),
-        backend,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, protocol, sim_config(seed + 1));
+    b.runtime(backend).check(CheckMode::Full).durable(&dir);
+    let mut c2 = b.build().unwrap();
     let rec = c2
         .recovery()
         .expect("rebuild against a populated WAL dir must recover")
@@ -362,43 +333,25 @@ fn double_crash_walks_the_epoch_chain() {
     let cfg = contended_config();
     let plan = CrashPlan::new(71);
 
-    let mut c1 = build_cluster_durable(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(71),
-        Backend::Simulated,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(71));
+    b.check(CheckMode::Full).durable(&dir);
+    let mut c1 = b.build().unwrap();
     c1.run_more(plan.kill_point(0, Duration::from_millis(10)));
     let snap1 = c1.kill();
     certify_prekill(&snap1, "double-crash (first)");
 
-    let mut c2 = build_cluster_durable(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(72),
-        Backend::Simulated,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(72));
+    b.check(CheckMode::Full).durable(&dir);
+    let mut c2 = b.build().unwrap();
     let rec1 = c2.recovery().expect("first recovery").clone();
     assert_eq!(rec1.epoch, 1);
     c2.run_more(plan.kill_point(1, Duration::from_millis(10)));
     let snap2 = c2.kill();
     certify_prekill(&snap2, "double-crash (second)");
 
-    let mut c3 = build_cluster_durable(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(73),
-        Backend::Simulated,
-        Some(CheckMode::Full),
-        Some(&dir),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(73));
+    b.check(CheckMode::Full).durable(&dir);
+    let mut c3 = b.build().unwrap();
     let rec2 = c3.recovery().expect("second recovery").clone();
     assert_eq!(rec2.epoch, 2, "second recovery bumps to epoch 2");
     assert_acked_writes_survive(&snap2, &c3, "double-crash");
@@ -437,15 +390,9 @@ fn clean_quiesce_leaves_nothing_in_doubt() {
         let label = format!("smallbank-quiesced-{backend:?}");
         let dir = wal_dir(&label);
         let build = |seed| {
-            build_cluster_durable(
-                &cfg,
-                NODES,
-                Protocol::Chiller,
-                sim_config(seed),
-                backend,
-                None,
-                Some(&dir),
-            )
+            let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(seed));
+            b.runtime(backend).durable(&dir);
+            b.build().unwrap()
         };
         let mut c1 = build(seed);
         let r1 = c1.run(RunSpec::millis(0, window_ms));
@@ -472,15 +419,12 @@ fn clean_quiesce_leaves_nothing_in_doubt() {
 fn durability_is_invisible_to_the_simulation() {
     let cfg = contended_config();
     let run = |durable: Option<&std::path::Path>| {
-        let mut cluster = build_cluster_durable(
-            &cfg,
-            NODES,
-            Protocol::Chiller,
-            sim_config(29),
-            Backend::Simulated,
-            Some(CheckMode::Full),
-            durable,
-        );
+        let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(29));
+        b.check(CheckMode::Full);
+        if let Some(dir) = durable {
+            b.durable(dir);
+        }
+        let mut cluster = b.build().unwrap();
         let report = cluster.run(RunSpec::millis(0, 8));
         cluster.quiesce();
         assert_smallbank_invariants(&cluster, &cfg, "durability-off-path");

@@ -7,7 +7,7 @@ use chiller::prelude::*;
 use chiller_partition::chiller_part::distributed_ratio;
 use chiller_partition::{ChillerPartitioner, ContentionModel, LoadMetric, SchismPartitioner};
 use chiller_workload::instacart::{self, InstacartConfig};
-use chiller_workload::tpcc::{self, build_tpcc_cluster, keys, tables, TpccConfig, TpccMix};
+use chiller_workload::tpcc::{self, keys, tables, TpccConfig, TpccMix};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -21,7 +21,9 @@ fn tpcc_audit(protocol: Protocol, seed: u64) {
     let mut sim = SimConfig::default();
     sim.engine.concurrency = 3;
     sim.seed = seed;
-    let mut cluster = build_tpcc_cluster(&cfg, TpccMix::default(), protocol, sim);
+    let mut cluster = tpcc::builder(&cfg, TpccMix::default(), protocol, sim)
+        .build()
+        .unwrap();
     let report = cluster.run(RunSpec::millis(1, 10));
     assert!(
         report.total_commits() > 500,
@@ -122,7 +124,9 @@ fn tpcc_order_lines_match_stock_movements() {
     let mut sim = SimConfig::default();
     sim.engine.concurrency = 2;
     sim.seed = 7;
-    let mut cluster = build_tpcc_cluster(&cfg, TpccMix::default(), Protocol::Chiller, sim);
+    let mut cluster = tpcc::builder(&cfg, TpccMix::default(), Protocol::Chiller, sim)
+        .build()
+        .unwrap();
     cluster.run(RunSpec::millis(1, 10));
     cluster.quiesce();
 
@@ -179,17 +183,21 @@ fn instacart_pipeline_end_to_end() {
     sim.engine.concurrency = 4;
     sim.seed = 5;
     let mut chiller_cluster =
-        instacart::build_cluster(&cfg, 4, placement, hot, Protocol::Chiller, sim.clone());
+        instacart::builder(&cfg, 4, placement, hot, Protocol::Chiller, sim.clone())
+            .build()
+            .unwrap();
     let chiller_report = chiller_cluster.run(RunSpec::millis(1, 8));
 
-    let mut hash_cluster = instacart::build_cluster(
+    let mut hash_cluster = instacart::builder(
         &cfg,
         4,
         Arc::new(HashPlacement::new(4)),
         vec![],
         Protocol::TwoPhaseLocking,
         sim,
-    );
+    )
+    .build()
+    .unwrap();
     let hash_report = hash_cluster.run(RunSpec::millis(1, 8));
 
     assert!(
@@ -210,14 +218,16 @@ fn stock_conservation_in_instacart() {
     let mut sim = SimConfig::default();
     sim.engine.concurrency = 3;
     sim.seed = 11;
-    let mut cluster = instacart::build_cluster(
+    let mut cluster = instacart::builder(
         &cfg,
         3,
         Arc::new(HashPlacement::new(3)),
         vec![],
         Protocol::Chiller,
         sim,
-    );
+    )
+    .build()
+    .unwrap();
     let report = cluster.run(RunSpec::millis(1, 5));
     cluster.quiesce();
     // Total stock decrements == total items in committed orders.
@@ -245,7 +255,9 @@ fn full_stack_determinism() {
         let mut sim = SimConfig::default();
         sim.engine.concurrency = 2;
         sim.seed = 99;
-        let mut cluster = build_tpcc_cluster(&cfg, TpccMix::default(), Protocol::Chiller, sim);
+        let mut cluster = tpcc::builder(&cfg, TpccMix::default(), Protocol::Chiller, sim)
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(1, 5));
         (report.total_commits(), report.total_aborts())
     };

@@ -23,7 +23,7 @@ use chiller_partition::{
     ChillerPartitioner, ContentionModel, LoadMetric, SchismPartitioner, WorkloadTrace,
 };
 use chiller_workload::instacart::{self, InstacartConfig};
-use chiller_workload::tpcc::{build_tpcc_cluster, TpccConfig, TpccMix};
+use chiller_workload::tpcc::{self, TpccConfig, TpccMix};
 use chiller_workload::transfer::{transfer_proc, TransferConfig, TransferSource};
 use chiller_workload::ycsb::{self, YcsbConfig};
 use std::sync::Arc;
@@ -55,7 +55,9 @@ fn contention_model(trace: &WorkloadTrace) -> ContentionModel {
 }
 
 fn tpcc(mix: TpccMix, protocol: Protocol, sim: SimConfig) -> Cluster {
-    build_tpcc_cluster(&TpccConfig::with_warehouses(8), mix, protocol, sim)
+    tpcc::builder(&TpccConfig::with_warehouses(8), mix, protocol, sim)
+        .build()
+        .unwrap()
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -96,8 +98,9 @@ fn fig7_throughput(cfg: &InstacartConfig, trace: &WorkloadTrace, k: usize, schem
     } else {
         Protocol::TwoPhaseLocking
     };
-    let cluster =
-        instacart::build_cluster(cfg, k, placement, hot, protocol, sim(4, 0xF167 + k as u64));
+    let cluster = instacart::builder(cfg, k, placement, hot, protocol, sim(4, 0xF167 + k as u64))
+        .build()
+        .unwrap();
     measure(cluster).0
 }
 
@@ -499,27 +502,24 @@ fn fig_adaptive_shift_adaptive_recovers_what_static_loses() {
         let report = cluster.run_more(post);
         (report.throughput(), report.migrations_completed())
     };
-    let shifting = |adaptive| {
-        ycsb::build_shifting_cluster(
-            &cfg,
-            nodes,
-            hot_lookup,
-            Protocol::Chiller,
-            sim.clone(),
-            shift_at,
-            cfg.records / 2,
-            adaptive,
-        )
+    let shifting = |adaptive: Option<AdaptiveConfig>| {
+        let mut b = ycsb::builder(&cfg, nodes, hot_lookup, Protocol::Chiller, sim.clone());
+        if let Some(a) = adaptive {
+            b.adaptive(a);
+        }
+        let cfg = cfg.clone();
+        b.source_per_node(move |_| {
+            Box::new(ycsb::shifting_source(&cfg, shift_at, cfg.records / 2))
+        });
+        b.build().unwrap()
     };
     // 2PL over hash placement: the shift is throughput-neutral there, so
     // the plain source stands in for the shifting one.
-    let (two_pl, _) = post_shift(ycsb::build_cluster(
-        &cfg,
-        nodes,
-        0,
-        Protocol::TwoPhaseLocking,
-        sim.clone(),
-    ));
+    let (two_pl, _) = post_shift(
+        ycsb::builder(&cfg, nodes, 0, Protocol::TwoPhaseLocking, sim.clone())
+            .build()
+            .unwrap(),
+    );
     let (static_tps, _) = post_shift(shifting(None));
     let (adaptive_tps, migrations) = post_shift(shifting(Some(adaptive)));
     let recovery = adaptive_tps / static_tps;

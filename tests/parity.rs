@@ -18,8 +18,7 @@
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_workload::transfer::{
-    assert_serializability_invariants, build_cluster, build_cluster_checked, build_cluster_on,
-    build_shifting_cluster, TransferConfig,
+    self, assert_serializability_invariants, shifting_source, TransferConfig,
 };
 
 const NODES: usize = 4;
@@ -61,7 +60,9 @@ fn all_protocols_conserve_balance_and_quiesce_clean() {
                 sim.replication.degree = degree;
             }
             let label = format!("{protocol}, replication degree {}", sim.replication.degree);
-            let mut cluster = build_cluster(&cfg, NODES, protocol, sim);
+            let mut cluster = transfer::builder(&cfg, NODES, protocol, sim)
+                .build()
+                .unwrap();
             let report = cluster.run(RunSpec::millis(1, 10));
             assert!(
                 report.total_commits() > 100,
@@ -78,8 +79,12 @@ fn all_protocols_conserve_balance_and_quiesce_clean() {
 fn identical_seeds_yield_byte_identical_engine_reports() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         let cfg = contended_config();
-        let mut a = build_cluster(&cfg, NODES, protocol, sim_config(42, 3));
-        let mut b = build_cluster(&cfg, NODES, protocol, sim_config(42, 3));
+        let mut a = transfer::builder(&cfg, NODES, protocol, sim_config(42, 3))
+            .build()
+            .unwrap();
+        let mut b = transfer::builder(&cfg, NODES, protocol, sim_config(42, 3))
+            .build()
+            .unwrap();
         let ra = a.run(RunSpec::millis(1, 8));
         let rb = b.run(RunSpec::millis(1, 8));
         assert_eq!(
@@ -88,7 +93,9 @@ fn identical_seeds_yield_byte_identical_engine_reports() {
             "{protocol}: identical seeds must reproduce byte-identical reports"
         );
         // The comparison must have teeth: a different seed must perturb it.
-        let mut c = build_cluster(&cfg, NODES, protocol, sim_config(43, 3));
+        let mut c = transfer::builder(&cfg, NODES, protocol, sim_config(43, 3))
+            .build()
+            .unwrap();
         let rc = c.run(RunSpec::millis(1, 8));
         assert_ne!(
             report_bytes(&ra),
@@ -109,15 +116,15 @@ fn adaptive_shifting_cluster(seed: u64, concurrency: usize) -> Cluster {
         min_window_txns: 100,
         ..AdaptiveConfig::default()
     };
-    build_shifting_cluster(
+    let mut b = transfer::builder(
         &cfg,
         NODES,
         Protocol::Chiller,
         sim_config(seed, concurrency),
-        SimTime::from_millis(3),
-        200,
-        Some(adaptive),
-    )
+    );
+    b.adaptive(adaptive)
+        .source_per_node(move |_| Box::new(shifting_source(&cfg, SimTime::from_millis(3), 200)));
+    b.build().unwrap()
 }
 
 #[test]
@@ -200,9 +207,12 @@ fn adaptive_runs_are_byte_identical_per_seed() {
 fn explicit_sim_backend_is_byte_identical_to_default() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         let cfg = contended_config();
-        let mut default_build = build_cluster(&cfg, NODES, protocol, sim_config(42, 3));
-        let mut explicit_build =
-            build_cluster_on(&cfg, NODES, protocol, sim_config(42, 3), Backend::Simulated);
+        let mut default_build = transfer::builder(&cfg, NODES, protocol, sim_config(42, 3))
+            .build()
+            .unwrap();
+        let mut explicit = transfer::builder(&cfg, NODES, protocol, sim_config(42, 3));
+        explicit.runtime(Backend::Simulated);
+        let mut explicit_build = explicit.build().unwrap();
         assert_eq!(explicit_build.backend(), Backend::Simulated);
         let ra = default_build.run(RunSpec::millis(1, 8));
         let rb = explicit_build.run(RunSpec::millis(1, 8));
@@ -218,16 +228,9 @@ fn explicit_sim_backend_is_byte_identical_to_default() {
 /// Build a transfer cluster on the simulator with explicit trace and
 /// check modes (everything else at the suite's defaults).
 fn checked_cluster(protocol: Protocol, seed: u64, trace: TraceMode, check: CheckMode) -> Cluster {
-    build_cluster_checked(
-        &contended_config(),
-        NODES,
-        protocol,
-        sim_config(seed, 4),
-        Backend::Simulated,
-        None,
-        Some(trace),
-        Some(check),
-    )
+    let mut b = transfer::builder(&contended_config(), NODES, protocol, sim_config(seed, 4));
+    b.runtime(Backend::Simulated).trace(trace).check(check);
+    b.build().unwrap()
 }
 
 /// The black-box serializability checker must certify every protocol's
@@ -308,7 +311,9 @@ fn chiller_throughput_beats_2pl_under_contention() {
     // while 2PL holds hot locks across full 2PC round trips.
     let run = |protocol: Protocol| {
         let cfg = contended_config();
-        let mut cluster = build_cluster(&cfg, NODES, protocol, sim_config(7, 6));
+        let mut cluster = transfer::builder(&cfg, NODES, protocol, sim_config(7, 6))
+            .build()
+            .unwrap();
         let report = cluster.run(RunSpec::millis(2, 15));
         cluster.quiesce();
         assert_serializability_invariants(&cluster, &cfg, &format!("{protocol} under contention"));

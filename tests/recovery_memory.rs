@@ -11,9 +11,7 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::smallbank::{
-    assert_smallbank_invariants_recovered, build_cluster_durable, SmallBankConfig,
-};
+use chiller_workload::smallbank::{self, assert_smallbank_invariants_recovered, SmallBankConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,15 +99,9 @@ fn build(dir: &Path, seed: u64) -> Cluster {
         ..SimConfig::default()
     };
     sim.engine.concurrency = CONCURRENCY;
-    build_cluster_durable(
-        &config(),
-        NODES,
-        Protocol::Chiller,
-        sim,
-        Backend::Simulated,
-        None,
-        Some(dir),
-    )
+    let mut b = smallbank::builder(&config(), NODES, Protocol::Chiller, sim);
+    b.durable(dir);
+    b.build().unwrap()
 }
 
 /// What one run-kill-rebuild measured.

@@ -10,9 +10,7 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::smallbank::{
-    assert_smallbank_invariants, build_cluster_checked, SmallBankConfig,
-};
+use chiller_workload::smallbank::{self, assert_smallbank_invariants, SmallBankConfig};
 
 const NODES: usize = 4;
 
@@ -38,14 +36,9 @@ fn sim_config(seed: u64) -> SimConfig {
 fn smallbank_certifies_on_the_simulator() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         let cfg = contended_config();
-        let mut cluster = build_cluster_checked(
-            &cfg,
-            NODES,
-            protocol,
-            sim_config(13),
-            Backend::Simulated,
-            Some(CheckMode::Full),
-        );
+        let mut b = smallbank::builder(&cfg, NODES, protocol, sim_config(13));
+        b.check(CheckMode::Full);
+        let mut cluster = b.build().unwrap();
         let report = cluster.run(RunSpec::millis(0, 8));
         assert!(
             report.total_commits() > 100,
@@ -64,14 +57,9 @@ fn smallbank_certifies_on_the_simulator() {
 fn smallbank_certifies_on_the_threaded_backend() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         let cfg = contended_config();
-        let mut cluster = build_cluster_checked(
-            &cfg,
-            NODES,
-            protocol,
-            sim_config(17),
-            Backend::Threaded,
-            Some(CheckMode::Window(256)),
-        );
+        let mut b = smallbank::builder(&cfg, NODES, protocol, sim_config(17));
+        b.runtime(Backend::Threaded).check(CheckMode::Window(256));
+        let mut cluster = b.build().unwrap();
         let report = cluster.run(RunSpec::millis(0, 100));
         assert!(
             report.total_commits() > 0,
@@ -88,14 +76,9 @@ fn smallbank_certifies_on_the_threaded_backend() {
 #[test]
 fn smallbank_certifies_on_the_async_backend() {
     let cfg = contended_config();
-    let mut cluster = build_cluster_checked(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(19),
-        Backend::Async,
-        Some(CheckMode::Window(256)),
-    );
+    let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(19));
+    b.runtime(Backend::Async).check(CheckMode::Window(256));
+    let mut cluster = b.build().unwrap();
     let report = cluster.run(RunSpec::millis(0, 100));
     assert!(
         report.total_commits() > 0,
@@ -113,14 +96,9 @@ fn smallbank_certifies_on_the_async_backend() {
 fn smallbank_checked_run_is_byte_identical_to_unchecked() {
     let run = |check: CheckMode| {
         let cfg = contended_config();
-        let mut cluster = build_cluster_checked(
-            &cfg,
-            NODES,
-            Protocol::Chiller,
-            sim_config(23),
-            Backend::Simulated,
-            Some(check),
-        );
+        let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(23));
+        b.check(check);
+        let mut cluster = b.build().unwrap();
         let report = cluster.run(RunSpec::millis(0, 8));
         format!("{:?}", report.per_node)
     };

@@ -29,7 +29,7 @@ use chiller::prelude::{Duration, Protocol, SimConfig};
 use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
 use chiller_common::time::SimTime;
 use chiller_storage::{LockMode, PartitionStore};
-use chiller_workload::transfer::{build_cluster, TransferConfig, ACCOUNTS};
+use chiller_workload::transfer::{self, TransferConfig, ACCOUNTS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -172,7 +172,9 @@ fn check_commit_path(row: CommitPath) {
         ..SimConfig::default()
     };
     sim.engine.concurrency = 4;
-    let mut cluster = build_cluster(&cfg, 8, row.protocol, sim);
+    let mut cluster = transfer::builder(&cfg, 8, row.protocol, sim)
+        .build()
+        .unwrap();
     cluster.run(RunSpec::millis(1, 1));
     cluster.reset_metrics();
     let allocs_before = ALLOCS.with(Cell::get);

@@ -12,9 +12,7 @@ use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_common::ids::NodeId;
 use chiller_simnet::{Actor, Ctx, Runtime, ThreadedRuntime, Verb};
-use chiller_workload::transfer::{
-    assert_serializability_invariants, build_cluster_on, TransferConfig,
-};
+use chiller_workload::transfer::{self, assert_serializability_invariants, TransferConfig};
 
 const NODES: usize = 4;
 
@@ -39,7 +37,9 @@ fn sim_config(seed: u64, concurrency: usize) -> SimConfig {
 /// and return the quiesced cluster plus its report.
 fn run_threaded(protocol: Protocol, measure_ms: u64) -> (Cluster, RunReport) {
     let cfg = contended_config();
-    let mut cluster = build_cluster_on(&cfg, NODES, protocol, sim_config(11, 4), Backend::Threaded);
+    let mut b = transfer::builder(&cfg, NODES, protocol, sim_config(11, 4));
+    b.runtime(Backend::Threaded);
+    let mut cluster = b.build().unwrap();
     assert_eq!(cluster.backend(), Backend::Threaded);
     let report = cluster.run(RunSpec::millis(10, measure_ms));
     cluster.quiesce();
@@ -237,13 +237,9 @@ fn threaded_backend_survives_repeated_run_windows() {
     // Pause/resume across windows: in-flight work must survive each pause
     // (run → run_more → quiesce) without losing messages or leaking locks.
     let cfg = contended_config();
-    let mut cluster = build_cluster_on(
-        &cfg,
-        NODES,
-        Protocol::Chiller,
-        sim_config(23, 4),
-        Backend::Threaded,
-    );
+    let mut b = transfer::builder(&cfg, NODES, Protocol::Chiller, sim_config(23, 4));
+    b.runtime(Backend::Threaded);
+    let mut cluster = b.build().unwrap();
     let first = cluster.run(RunSpec::millis(5, 40));
     let more = cluster.run_more(Duration::from_millis(40));
     assert!(

@@ -6,8 +6,8 @@
 
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
-use chiller_workload::tpcc::{build_tpcc_cluster_traced, TpccConfig, TpccMix};
-use chiller_workload::transfer::{build_cluster_traced, TransferConfig};
+use chiller_workload::tpcc::{self, TpccConfig, TpccMix};
+use chiller_workload::transfer::{self, TransferConfig};
 use serde::json;
 
 const NODES: usize = 4;
@@ -26,15 +26,9 @@ fn run_traced(backend: Backend) -> (RunReport, TraceLog) {
         ..SimConfig::default()
     };
     sim.engine.concurrency = 4;
-    let mut cluster = build_cluster_traced(
-        &contended_config(),
-        NODES,
-        Protocol::Chiller,
-        sim,
-        backend,
-        Some(2),
-        Some(TraceMode::Full),
-    );
+    let mut b = transfer::builder(&contended_config(), NODES, Protocol::Chiller, sim);
+    b.runtime(backend).workers(2).trace(TraceMode::Full);
+    let mut cluster = b.build().unwrap();
     // No warm-up (a warm-up reset would discard the begin events of spans
     // straddling the boundary), and short windows: every `run_more` drains
     // the trace rings, so a fast host cannot overflow them mid-run.
@@ -143,14 +137,14 @@ fn tpcc_full_trace_all_backends() {
             ..SimConfig::default()
         };
         sim.engine.concurrency = 4;
-        let mut cluster = build_tpcc_cluster_traced(
+        let mut b = tpcc::builder(
             &TpccConfig::with_warehouses(4),
             TpccMix::default(),
             Protocol::Chiller,
             sim,
-            backend,
-            Some(TraceMode::Full),
         );
+        b.runtime(backend).trace(TraceMode::Full);
+        let mut cluster = b.build().unwrap();
         let mut report = cluster.run(RunSpec::millis(0, 10));
         for _ in 0..3 {
             report = cluster.run_more(Duration::from_millis(10));
