@@ -13,9 +13,7 @@ use chiller_common::ids::{NodeId, PartitionId, RecordId};
 use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
 use chiller_obs::{History, HistoryRecorder, HistorySink, TraceLog, TraceMode, TraceSink, Tracer};
-use chiller_simnet::{
-    AsyncConfig, AsyncRuntime, Backend, Ctx, Runtime, Simulation, ThreadedRuntime,
-};
+use chiller_simnet::{AsyncConfig, AsyncRuntime, Backend, Ctx, Runtime, Simulation};
 use chiller_sproc::Procedure;
 use chiller_storage::placement::{HashPlacement, Placement};
 use chiller_storage::schema::Schema;
@@ -30,8 +28,7 @@ use crate::report::RunReport;
 
 /// How long to run a workload: a warm-up window whose metrics are
 /// discarded, then a measured window. Durations are virtual nanoseconds
-/// on the simulated backend and wall-clock nanoseconds on the threaded
-/// backend.
+/// on the simulated backend and wall-clock nanoseconds on the others.
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     pub warmup: Duration,
@@ -168,10 +165,11 @@ impl ClusterBuilder {
     }
 
     /// Select the execution backend: the deterministic simulator (default,
-    /// the correctness/parity oracle), one OS thread per node (real
-    /// wall-clock throughput), or a fixed worker pool multiplexing every
-    /// node (real wall clock at partition counts far beyond the core
-    /// count). Same engines, protocols and workloads either way.
+    /// the correctness/parity oracle) or the wall-clock worker pool, sized
+    /// at one worker thread per node (`Backend::Threaded`) or by
+    /// [`Self::workers`] (`Backend::Async`, for partition counts far
+    /// beyond the core count). Same engines, protocols and workloads
+    /// either way.
     pub fn runtime(&mut self, b: Backend) -> &mut Self {
         self.backend = b;
         self
@@ -181,7 +179,7 @@ impl ClusterBuilder {
     /// `CHILLER_WORKERS` environment knob, falling back to the detected
     /// host parallelism; always clamped to the node count. Ignored by
     /// the simulated and threaded backends (the former has no workers,
-    /// the latter is one-thread-per-engine by definition).
+    /// the latter is the same pool at one worker per node by definition).
     pub fn workers(&mut self, n: usize) -> &mut Self {
         self.workers = Some(n);
         self
@@ -526,12 +524,16 @@ impl ClusterBuilder {
         }
         let rt: Box<dyn Runtime<Msg, EngineActor>> = match self.backend {
             Backend::Simulated => Box::new(Simulation::new(actors, self.config.network.clone())),
-            // The threaded backend has no modelled network: latency is
-            // whatever the host's mailboxes and scheduler deliver.
-            Backend::Threaded => Box::new(ThreadedRuntime::new(actors)),
-            // The async backend multiplexes the same engines onto a
-            // fixed pool — also unmodelled wall clock, but sized for
-            // partition counts far beyond the host's cores.
+            // The wall-clock backends have no modelled network: latency is
+            // whatever the host's mailboxes and scheduler deliver. Both run
+            // the worker pool; `Threaded` gives it one worker per engine.
+            Backend::Threaded => Box::new(AsyncRuntime::with_config(
+                actors,
+                AsyncConfig {
+                    workers: Some(self.nodes),
+                    ..AsyncConfig::default()
+                },
+            )),
             Backend::Async => Box::new(AsyncRuntime::with_config(
                 actors,
                 AsyncConfig {
@@ -542,6 +544,7 @@ impl ClusterBuilder {
         };
         Ok(Cluster {
             rt,
+            backend: self.backend,
             adaptive,
             trace: TraceState {
                 mode: trace_mode,
@@ -658,6 +661,8 @@ pub struct AdaptiveStats {
 /// the backend-neutral [`Runtime`] surface.
 pub struct Cluster {
     rt: Box<dyn Runtime<Msg, EngineActor>>,
+    /// The backend this cluster was built for (report labelling).
+    backend: Backend,
     adaptive: Option<AdaptiveState>,
     trace: TraceState,
     check: CheckState,
@@ -816,7 +821,7 @@ impl Cluster {
 
     /// The execution backend driving this cluster.
     pub fn backend(&self) -> Backend {
-        self.rt.backend()
+        self.backend
     }
 
     fn collect(&mut self, elapsed: Duration, wall: std::time::Duration) -> RunReport {
@@ -835,7 +840,7 @@ impl Cluster {
             }
         }
         RunReport::collect(
-            self.rt.backend(),
+            self.backend,
             elapsed,
             wall,
             self.rt.workers(),
@@ -941,7 +946,7 @@ impl Cluster {
     }
 
     /// Current runtime time: virtual on the simulated backend, wall-clock
-    /// offset since runtime creation on the threaded backend.
+    /// offset since runtime creation on the others.
     pub fn now(&self) -> SimTime {
         self.rt.now()
     }

@@ -14,14 +14,14 @@ pub struct RunReport {
     /// `elapsed` should be read: virtual vs wall time).
     pub backend: Backend,
     /// Time measured: virtual nanoseconds on the simulated backend,
-    /// wall-clock nanoseconds on the threaded backend.
+    /// wall-clock nanoseconds on the others.
     pub elapsed: Duration,
-    /// Host wall-clock time the measured window took. On the threaded
-    /// backend this tracks `elapsed`; on the simulator it is the host
+    /// Host wall-clock time the measured window took. On the wall-clock
+    /// backends this tracks `elapsed`; on the simulator it is the host
     /// time spent computing the virtual window.
     pub wall_elapsed: std::time::Duration,
     /// OS worker threads that drove the run: 0 on the simulator, one per
-    /// engine on the threaded backend, the fixed pool size on the async
+    /// engine on the threaded backend, the pool size on the async
     /// backend. Distinguishes a 1000-engine run on 1000 threads from the
     /// same run multiplexed onto 4.
     pub workers: usize,
@@ -71,7 +71,7 @@ impl RunReport {
     }
 
     /// Committed transactions per second of measured time (virtual on the
-    /// simulator, wall on the threaded backend).
+    /// simulator, wall on the others).
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_nanos() as f64 / 1e9;
         if secs == 0.0 {
@@ -82,8 +82,8 @@ impl RunReport {
     }
 
     /// Committed transactions per second of *host wall-clock* time — what
-    /// the machine actually sustained. On the threaded backend this is the
-    /// headline number; on the simulator it only measures simulation speed.
+    /// the machine actually sustained. On the wall-clock backends this is
+    /// the headline number; on the simulator it only measures simulation speed.
     pub fn wall_throughput(&self) -> f64 {
         let secs = self.wall_elapsed.as_secs_f64();
         if secs == 0.0 {

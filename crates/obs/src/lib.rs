@@ -21,7 +21,7 @@
 //!   `CHILLER_CHECK` / `ClusterBuilder::check`: when off, no ring exists
 //!   and every record call is one branch.
 //! * **Runtime telemetry** ([`RuntimeTelemetry`]): always-on counters for the
-//!   scheduler internals the threaded and async backends were previously
+//!   scheduler internals the wall-clock worker pool was previously
 //!   debugged blind on — batches drained, flush stalls, parked-queue depth
 //!   high-water, park/unpark and lost-wakeup-avoided counts, task-queue
 //!   steal/inject counts, ring occupancy high-water, and a timer-wheel slop

@@ -16,8 +16,7 @@ pub struct RuntimeTelemetry {
     pub flush_stalls: u64,
     /// High-water mark of the parked remote-send queue depth.
     pub parked_depth_hwm: u64,
-    /// High-water mark of inbox ring occupancy observed before drains
-    /// (0 under channel mailboxes, which expose no length).
+    /// High-water mark of inbox ring occupancy observed before drains.
     pub ring_occupancy_hwm: u64,
     /// Times a worker actually parked (slept) waiting for work.
     pub parks: u64,
@@ -26,16 +25,16 @@ pub struct RuntimeTelemetry {
     /// Pre-park rechecks that found work or quiescence after publishing the
     /// sleep flag — each one is a lost wakeup the handshake prevented.
     pub lost_wakeups_avoided: u64,
-    /// Async worker turns that made zero progress (pure flush-stall retry;
+    /// Worker turns that made zero progress (pure flush-stall retry;
     /// each forces a `yield_now` — see DESIGN §12).
     pub zero_progress_turns: u64,
-    /// Tasks pushed to a worker's own deque (async backend).
+    /// Tasks pushed to a worker's own deque (worker pool).
     pub tasks_pushed: u64,
-    /// Tasks pushed through the shared injector (async backend).
+    /// Tasks pushed through the shared injector (worker pool).
     pub tasks_injected: u64,
-    /// Tasks popped for execution (async backend).
+    /// Tasks popped for execution (worker pool).
     pub tasks_popped: u64,
-    /// Tasks moved between workers by stealing (async backend).
+    /// Tasks moved between workers by stealing (worker pool).
     pub tasks_stolen: u64,
     /// Steal operations (each moves a front-half batch).
     pub steal_batches: u64,

@@ -1,13 +1,13 @@
-//! The async multiplexing backend: thousands of engines on a fixed
-//! worker pool.
+//! The wall-clock backend: engines multiplexed on a fixed worker pool.
 //!
-//! The threaded backend ([`crate::ThreadedRuntime`]) dedicates one OS
-//! thread to each engine — faithful to the paper's one-engine-per-core
-//! deployment, but it caps the cluster at roughly the host's core count.
-//! This backend breaks that cap: engines are inert [`Actor`] state
-//! machines already, so they become *tasks* on a work-stealing ready
-//! queue (`taskq`), driven by `N = CHILLER_WORKERS` workers (default =
-//! detected parallelism). A 1000-partition cluster runs on a laptop.
+//! Engines are inert [`Actor`] state machines, so they run as *tasks* on
+//! a work-stealing ready queue (`taskq`), driven by a pool of OS worker
+//! threads. Both wall-clock [`Backend`](crate::Backend)s are this runtime:
+//! `Backend::Threaded` sizes the pool at one worker per engine (the
+//! paper's one-engine-per-core deployment), and `Backend::Async` at
+//! `CHILLER_WORKERS` (default = detected parallelism), so a
+//! 1000-partition cluster runs on a laptop. No latencies are modelled:
+//! the reported throughput is what the host actually sustains.
 //!
 //! ## Executor model
 //!
@@ -21,56 +21,57 @@
 //! each engine slot is uncontended by construction and exists to move
 //! ownership safely between workers and the paused-phase main thread.
 //!
-//! ## What carries over from the threaded backend, and how
+//! ## Protocols
 //!
-//! The PR-4/5 protocols are load-bearing and survive verbatim, adapted
-//! from thread granularity to engine granularity:
-//!
+//! * **Mailboxes** — one bounded lock-free sequence-slot ring per engine
+//!   (`ringq::mpsc` — no mutex anywhere on the message path). Its
+//!   producer pushes through `&self`, so all engines share **one**
+//!   producer per destination: O(n) outbox state. The ring consumes
+//!   tickets in claim order, which gives each destination the
+//!   cross-sender arrival FIFO the replication path relies on (DESIGN.md
+//!   §11).
 //! * **Never-blocking sends, global-FIFO flush** — each engine parks
 //!   remote sends in a per-engine `pending` queue, flushed in send order
 //!   across *all* destinations and stalling entirely at the first full
 //!   mailbox (cross-destination send order is replica-divergence-
-//!   critical; see DESIGN.md §11–12). A stalled engine is simply
-//!   re-enqueued instead of its thread spinning: the destinations are
-//!   drained by the same pool, so capacity frees up and the retry makes
-//!   progress. Because an engine runs on one worker at a time, its flush
-//!   order is exactly the single-thread order the invariant needs.
-//! * **Quiescence** — the same global outstanding-work counter
-//!   (spawns − retirements), accumulated per engine and published in a
-//!   single atomic add *before* the flush, so no worker can consume a
-//!   message whose registration is pending. Workers exit when the
-//!   counter reads zero.
-//! * **Park/unpark** — idle workers use the same publish-then-recheck
-//!   handshake (`taskq::Parker`); making an engine ready wakes one
-//!   sleeping worker, and a missed race costs at most one bounded park.
-//!
-//! ## What changes
-//!
-//! * **Mailboxes are shared, not per-sender** — `ringq::mpsc::Producer`
-//!   pushes through `&self`, so all engines share **one** producer per
-//!   destination: O(n) outbox state instead of the threaded backend's
-//!   O(n²) per-sender clone matrix, which is what makes 1000 partitions
-//!   affordable. (The ring's ticket order still gives each destination
-//!   the cross-sender arrival FIFO the replication path relies on.)
-//! * **Timer wheels are per-worker, not per-engine** — each worker owns
-//!   a hashed [`TimerWheel`] plus a slab mapping wheel tokens to
-//!   `(engine, actor token)`. Expired entries are routed to the owning
-//!   engine's fire queue and the engine is notified; the engine fires
-//!   them at the start of its next run. Timer slop is therefore bounded
-//!   by park granularity plus queueing delay — this backend measures
-//!   scheduling scale, not timer fidelity (the threaded backend keeps
-//!   the spin-before-sleep precision story).
-//! * **`CHILLER_WORKERS`** sizes the pool (see [`crate::sizing`]).
+//!   critical; see DESIGN.md §10). A stalled engine is simply
+//!   re-enqueued: the destinations are drained by the same pool, so
+//!   capacity frees up and the retry makes progress. Because an engine
+//!   runs on one worker at a time, its flush order is exactly the
+//!   single-thread order the invariant needs. Self-sends go to a local
+//!   queue that never touches a mailbox, so cyclic protocols cannot
+//!   deadlock.
+//! * **Batched turns** — a scheduling turn fires the engine's routed
+//!   timer tokens, then drains up to `EVENT_BATCH` events, and
+//!   publishes the turn's bookkeeping (events, outstanding-work delta)
+//!   once, so the per-message cost is plain local arithmetic plus the
+//!   ring's claim-CAS.
+//! * **Quiescence** — a global outstanding-work counter (spawns −
+//!   retirements), accumulated per engine and published in a single
+//!   atomic add *before* the flush, so no worker can consume a message
+//!   whose registration is pending. Zero means no queued message, no
+//!   armed timer and no handler mid-flight; workers exit when they read
+//!   it.
+//! * **Park/unpark** — idle workers use a publish-then-recheck handshake
+//!   (`taskq::Parker`); making an engine ready wakes one sleeping worker,
+//!   and a missed race costs at most one bounded park (`MAX_PARK_NS`).
+//! * **Timers** — each worker owns a hashed [`TimerWheel`] plus a slab
+//!   mapping wheel tokens to `(engine, actor token)`. Expired entries are
+//!   routed to the owning engine's fire queue and the engine is notified;
+//!   it fires them at the start of its next turn. An idle worker parks
+//!   until its next due time, so timer slop is bounded by the OS sleep
+//!   granularity plus queueing delay.
+//! * **`use_cpu`** — a no-op: real CPU is consumed by actually executing
+//!   the handler.
 //!
 //! Run phases, pauses, control-plane injection ([`Runtime::actors_mut`],
-//! [`Runtime::with_actor_ctx`]) behave exactly as on the other backends:
+//! [`Runtime::with_actor_ctx`]) behave exactly as on the simulator:
 //! workers exist only inside scoped run phases; between phases the main
 //! thread has exclusive actor access, and in-flight messages, parked
 //! sends, armed timers and the ready queue itself survive the pause.
 
-use crate::runtime::{Actor, Backend, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
+use crate::runtime::{Actor, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
 use crate::sizing;
-use crate::threaded::DEFAULT_MAILBOX_CAPACITY;
 use crate::timer_wheel::TimerWheel;
 use chiller_common::ids::NodeId;
 use chiller_common::metrics::Histogram;
@@ -80,6 +81,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// Default bound of each engine's mailbox (messages, not bytes).
+pub const DEFAULT_MAILBOX_CAPACITY: usize = 1024;
 
 /// Longest a worker sleeps before re-checking the deadline, the ready
 /// queue and the quiescence counter (responsiveness, not correctness).
@@ -127,14 +131,12 @@ struct Envelope<M> {
 /// control plane can reach it without locks.
 struct EngineState<M> {
     node: NodeId,
-    /// This engine's mailbox. Unlike the threaded backend there is no
-    /// SPSC fast path: any worker may run any sending engine, so every
-    /// mailbox is multi-producer by construction.
+    /// This engine's mailbox: multi-producer by construction, since any
+    /// worker may run any sending engine.
     inbox: ringq::mpsc::Consumer<Envelope<M>>,
     /// Remote sends parked until this engine's next flush, in send order
     /// across *all* destinations (global FIFO — see the module docs and
-    /// the threaded backend's `NodeState::pending` for why per-
-    /// destination order is not enough).
+    /// DESIGN.md §10 for why per-destination order is not enough).
     pending: VecDeque<(NodeId, Envelope<M>)>,
     /// Self-sends: exactly one producer and one consumer (whichever
     /// worker currently runs this engine), so a plain queue suffices.
@@ -153,8 +155,9 @@ struct EngineState<M> {
 impl<M> EngineState<M> {
     /// Publish the accumulated outstanding-work delta. Must run before
     /// the engine's envelopes are flushed and before its worker may
-    /// check quiescence — same ordering argument as the threaded
-    /// backend's `publish_outstanding`.
+    /// check quiescence: a message whose registration is still pending
+    /// could otherwise be consumed and retired first, letting the counter
+    /// read zero while work remains.
     #[inline]
     fn publish_outstanding(&mut self, shared: &Shared<M>) {
         if self.outstanding_delta != 0 {
@@ -190,9 +193,8 @@ struct WorkerTimers {
     free: Vec<usize>,
     /// Scratch for expired batches (reused).
     fired: Vec<(u64, u64)>,
-    /// Firing slop (expiry wall time − due time) for this worker's wheel.
-    /// Expected to be coarser than the threaded backend's: bounded by
-    /// park granularity plus queueing delay, not spin precision.
+    /// Firing slop (expiry wall time − due time) for this worker's wheel:
+    /// bounded by park granularity plus queueing delay.
     slop: Histogram,
 }
 
@@ -239,8 +241,7 @@ struct Shared<M> {
     events: AtomicU64,
     /// One shared sender per destination engine, used by every sender
     /// concurrently (`ringq` producers push through `&self`): O(n)
-    /// outbox state instead of the threaded backend's O(n²) per-sender
-    /// clone matrix.
+    /// outbox state.
     outboxes: Vec<ringq::mpsc::Producer<Envelope<M>>>,
     /// Per-engine scheduling state machines.
     scheds: Vec<taskq::SchedState>,
@@ -297,8 +298,7 @@ impl<M> Shared<M> {
 }
 
 /// A fixed pool of workers multiplexing every engine. See the module
-/// docs for the executor model; see [`crate::ThreadedRuntime`] for the
-/// protocols this backend inherits.
+/// docs for the executor model and its protocols.
 pub struct AsyncRuntime<M, A> {
     /// Actors, in node order — populated between phases, drained into
     /// the slots while a phase runs.
@@ -594,9 +594,9 @@ fn run_engine<M, A: Actor<M>>(
 }
 
 /// The worker loop: expire own timers, run one ready engine, re-check
-/// phase controls; park when idle. The loop invariant matches the
-/// threaded backend: every engine's `outstanding_delta` is published
-/// whenever no worker holds it, so the quiescence check is sound.
+/// phase controls; park when idle. The loop invariant: every engine's
+/// `outstanding_delta` is published whenever no worker holds it, so the
+/// quiescence check is sound.
 fn worker_loop<M, A: Actor<M>>(
     w: usize,
     timers: &mut WorkerTimers,
@@ -664,10 +664,6 @@ impl<M: Send, A: Actor<M> + Send> Clock for AsyncRuntime<M, A> {
 }
 
 impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
-    fn backend(&self) -> Backend {
-        Backend::Async
-    }
-
     fn stats(&self) -> NetStats {
         let mut merged = NetStats::default();
         for st in &self.states {
@@ -747,9 +743,8 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
     }
 }
 
-/// The async backend's [`Mailbox`]: same send/timer semantics as the
-/// threaded backend's, but timers go to the *current worker's* wheel and
-/// sends park in the *engine's* pending queue.
+/// The pool's [`Mailbox`]: timers go to the *current worker's* wheel and
+/// remote sends park in the *engine's* pending queue.
 struct AsyncMailbox<'a, M> {
     st: &'a mut EngineState<M>,
     timers: &'a mut WorkerTimers,
@@ -791,7 +786,8 @@ impl<M> Mailbox<M> for AsyncMailbox<'_, M> {
     }
 
     fn set_timer_when_free(&mut self, d: Duration, token: u64) {
-        // No modelled busy horizon on real threads (same as threaded).
+        // No modelled busy horizon on real threads: the engine is free
+        // whenever it is not executing.
         self.set_timer(d, token);
     }
 
@@ -804,8 +800,6 @@ impl<M> Mailbox<M> for AsyncMailbox<'_, M> {
 mod tests {
     use super::*;
 
-    /// Mirrors the threaded backend's test roles so the two executors
-    /// face the same conformance suite.
     enum TestActor {
         Pinger {
             count: u64,
@@ -943,12 +937,15 @@ mod tests {
 
     /// Per-link FIFO through the shared-producer mailboxes, with a tiny
     /// capacity so most sends overflow into the parked-flush path and
-    /// the stall-and-requeue logic runs constantly.
+    /// the stall-and-requeue logic runs constantly. At capacity 1 every
+    /// send overflows, every flush stalls and the park handshake fires
+    /// constantly; an idle third engine adds a worker with nothing to do.
+    /// One worker per engine throughout, as `Backend::Threaded` sizes it.
     #[test]
     fn per_link_fifo_survives_mailbox_overflow() {
         let n = 500u64;
-        let mut rt = AsyncRuntime::with_config(
-            vec![
+        for (capacity, engines) in [(4usize, 2usize), (1, 2), (1, 3)] {
+            let mut actors = vec![
                 TestActor::Pinger {
                     count: n,
                     replies: 0,
@@ -956,14 +953,23 @@ mod tests {
                 TestActor::Recorder {
                     received: Vec::new(),
                 },
-            ],
-            config(4, 2),
-        );
-        rt.run_to_quiescence(u64::MAX);
-        let TestActor::Recorder { received } = &rt.actors()[1] else {
-            panic!("node 1 is the recorder");
-        };
-        assert_eq!(received, &(0..n).collect::<Vec<_>>(), "reordered");
+            ];
+            for _ in 2..engines {
+                actors.push(TestActor::Recorder {
+                    received: Vec::new(),
+                });
+            }
+            let mut rt = AsyncRuntime::with_config(actors, config(capacity, engines));
+            rt.run_to_quiescence(u64::MAX);
+            let TestActor::Recorder { received } = &rt.actors()[1] else {
+                panic!("node 1 is the recorder");
+            };
+            assert_eq!(
+                received,
+                &(0..n).collect::<Vec<_>>(),
+                "capacity-{capacity} mailbox with {engines} engines reordered"
+            );
+        }
     }
 
     /// 1000 engines on a 4-worker pool: the multiplexing headline in
@@ -1027,6 +1033,8 @@ mod tests {
         assert_eq!(total, hops, "cascade cut short by premature quiescence");
     }
 
+    /// A single engine on a single worker — the smallest pool — fires
+    /// every armed timer, across a pause and from a cold start.
     #[test]
     fn timers_fire_and_pause_resumes() {
         let mut rt = AsyncRuntime::with_config(
@@ -1049,6 +1057,21 @@ mod tests {
         assert!(fired >= mid);
         assert_eq!(fired, 20);
         assert_eq!(rt.stats().timer_fires, 20);
+
+        // Straight to quiescence from a cold start, with no pause.
+        let mut cold = AsyncRuntime::with_config(
+            vec![TestActor::Ticker {
+                fired: 0,
+                limit: 10,
+                delay_ns: 20_000,
+            }],
+            config(16, 1),
+        );
+        cold.run_to_quiescence(u64::MAX);
+        let TestActor::Ticker { fired, .. } = cold.actors()[0] else {
+            panic!()
+        };
+        assert_eq!(fired, 10, "single-engine pool exited early");
     }
 
     #[test]
@@ -1167,6 +1190,5 @@ mod tests {
         let b = rt.now();
         assert!(b >= a);
         assert_eq!(rt.workers(), 1);
-        assert_eq!(rt.backend(), Backend::Async);
     }
 }

@@ -1,5 +1,5 @@
 //! Backend-neutral execution runtime: the actor-facing surface shared by
-//! the deterministic simulator and the real multi-threaded backend.
+//! the deterministic simulator and the wall-clock worker pool.
 //!
 //! The transaction engines in `chiller-cc` are written against exactly
 //! three things defined here —
@@ -12,12 +12,12 @@
 //! * [`Runtime`]: the driver loop owning the actors. The deterministic
 //!   [`Simulation`](crate::Simulation) interprets time as virtual
 //!   nanoseconds and replays bit-identically per seed; the
-//!   [`ThreadedRuntime`](crate::ThreadedRuntime) runs each actor on its
-//!   own OS thread against a monotonic wall clock.
+//!   [`AsyncRuntime`](crate::AsyncRuntime) runs the actors on a pool of
+//!   OS worker threads against a monotonic wall clock.
 //!
 //! The split gives the repo a *sim-as-oracle, threads-as-benchmark*
 //! architecture: protocol correctness and paper parity are checked on the
-//! simulator, hardware throughput is measured on the threads — same
+//! simulator, hardware throughput is measured on the worker pool — same
 //! engines, same messages, same workloads.
 
 use chiller_common::ids::NodeId;
@@ -26,8 +26,8 @@ use chiller_common::time::{Duration, SimTime};
 /// Message class, determining latency and delivery semantics.
 ///
 /// The simulator models the two classes faithfully (NIC bypass, engine
-/// queueing, CPU charges); the threaded backend delivers both through the
-/// same mailbox and only keeps the classification for stats.
+/// queueing, CPU charges); the wall-clock backends deliver both through
+/// the same mailbox and only keep the classification for stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verb {
     /// One-sided RDMA verb (READ / WRITE / atomic CAS-style lock word
@@ -42,8 +42,8 @@ pub enum Verb {
 }
 
 /// Counters describing network usage of a run; exposed so experiments can
-/// report message overhead alongside throughput. The threaded backend
-/// keeps one per worker thread and merges them on read.
+/// report message overhead alongside throughput. The wall-clock backends
+/// keep one per engine and merge them on read.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetStats {
     /// One-sided RDMA verbs sent between distinct nodes.
@@ -59,7 +59,7 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Fold another thread's (or node's) counters into this one.
+    /// Fold another node's counters into this one.
     pub fn merge(&mut self, other: &NetStats) {
         self.one_sided_msgs += other.one_sided_msgs;
         self.rpc_msgs += other.rpc_msgs;
@@ -77,14 +77,15 @@ pub enum Backend {
     /// and paper-parity oracle.
     #[default]
     Simulated,
-    /// One OS thread per node, bounded mpsc mailboxes, monotonic wall
-    /// clock. Reports what the machine actually sustains; not
+    /// The wall-clock worker pool ([`AsyncRuntime`](crate::AsyncRuntime))
+    /// sized at one OS worker thread per node, with bounded lock-free
+    /// ring mailboxes. Reports what the machine actually sustains; not
     /// deterministic.
     Threaded,
-    /// A fixed worker pool multiplexing every node: engines are tasks on
-    /// a work-stealing ready queue, so thousands of partitions run on a
-    /// handful of OS threads (`CHILLER_WORKERS`, default = detected
-    /// parallelism). Wall clock, not deterministic.
+    /// The same worker pool sized at `CHILLER_WORKERS` (default =
+    /// detected parallelism): engines are tasks on a work-stealing ready
+    /// queue, so thousands of partitions run on a handful of OS threads.
+    /// Wall clock, not deterministic.
     Async,
 }
 
@@ -106,10 +107,11 @@ impl std::fmt::Display for Backend {
 }
 
 /// A source of "now". Virtual nanoseconds on the simulator; monotonic
-/// wall-clock nanoseconds since runtime creation on the threaded backend.
+/// wall-clock nanoseconds since runtime creation on the wall-clock
+/// backends.
 pub trait Clock {
     /// Current time: virtual on the simulator, wall-clock offset on the
-    /// threaded backend.
+    /// wall-clock backends.
     fn now(&self) -> SimTime;
 }
 
@@ -135,14 +137,14 @@ pub trait Mailbox<M> {
 
     /// Schedule a timer relative to when the engine becomes free, rather
     /// than now — used for "process next input when you have capacity".
-    /// On the threaded backend the engine is free whenever it is not
-    /// executing, so this degrades to [`Mailbox::set_timer`].
+    /// On the wall clock the engine is free whenever it is not executing,
+    /// so this degrades to [`Mailbox::set_timer`].
     fn set_timer_when_free(&mut self, d: Duration, token: u64);
 
     /// Charge `d` of CPU time on this node's engine core. The simulator
     /// delays subsequent sends and queues arriving RPCs behind the charge;
-    /// the threaded backend ignores it — real CPU is consumed by actually
-    /// executing the handler.
+    /// the wall-clock backends ignore it — real CPU is consumed by
+    /// actually executing the handler.
     fn use_cpu(&mut self, d: Duration);
 }
 
@@ -203,7 +205,7 @@ impl<'a, M> Ctx<'a, M> {
 /// `M` is the protocol message type, defined by the concurrency-control
 /// layer. Handlers must be deterministic functions of their inputs plus any
 /// actor-owned seeded RNG state (the simulator turns that determinism into
-/// bit-identical replays; the threaded backend interleaves handlers in
+/// bit-identical replays; the wall-clock backends interleave handlers in
 /// wall-clock order).
 pub trait Actor<M> {
     /// Called once at runtime start so engines can kick off their initial
@@ -240,9 +242,6 @@ pub trait Actor<M> {
 /// epoch scheduling, invariant checks) exclusive access to actor state on
 /// both backends.
 pub trait Runtime<M, A: Actor<M>>: Clock {
-    /// Which backend this is (drives report labelling).
-    fn backend(&self) -> Backend;
-
     /// Merged network counters across all nodes/threads.
     fn stats(&self) -> NetStats;
 
@@ -256,8 +255,8 @@ pub trait Runtime<M, A: Actor<M>>: Clock {
     fn actors_mut(&mut self) -> &mut [A];
 
     /// Advance until `now()` passes `until` (virtual time for the
-    /// simulator; wall-clock offset since runtime start for the threaded
-    /// backend), then pause. In-flight messages and timers survive the
+    /// simulator; wall-clock offset since runtime start for the worker
+    /// pool), then pause. In-flight messages and timers survive the
     /// pause. Returns the number of events processed.
     fn run_until(&mut self, until: SimTime) -> u64;
 
@@ -267,10 +266,9 @@ pub trait Runtime<M, A: Actor<M>>: Clock {
     fn run_to_quiescence(&mut self, max_events: u64) -> u64;
 
     /// Number of OS worker threads that drive a run phase: 0 on the
-    /// simulator (it runs on the calling thread), one per engine on the
-    /// threaded backend, the fixed pool size on the async backend. Lets
-    /// reports distinguish a 1000-engine run on 1000 threads from the
-    /// same run multiplexed onto 4.
+    /// simulator (it runs on the calling thread), the fixed pool size on
+    /// the worker pool. Lets reports distinguish a 1000-engine run on
+    /// 1000 threads from the same run multiplexed onto 4.
     fn workers(&self) -> usize {
         0
     }

@@ -2,7 +2,7 @@
 //! model. Implements the backend-neutral [`Runtime`] surface from
 //! [`crate::runtime`]; the actor trait and `Ctx` handle live there.
 
-use crate::runtime::{Actor, Backend, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
+use crate::runtime::{Actor, Clock, Ctx, Mailbox, NetStats, Runtime, Verb};
 use chiller_common::config::NetworkConfig;
 use chiller_common::ids::NodeId;
 use chiller_common::time::{Duration, SimTime};
@@ -381,10 +381,6 @@ impl<M, A: Actor<M>> Clock for Simulation<M, A> {
 }
 
 impl<M, A: Actor<M>> Runtime<M, A> for Simulation<M, A> {
-    fn backend(&self) -> Backend {
-        Backend::Simulated
-    }
-
     fn stats(&self) -> NetStats {
         Simulation::stats(self)
     }
@@ -666,7 +662,7 @@ mod tests {
         a.plan.push((NodeId(1), Verb::OneSided, 7, 0));
         let sim = Simulation::new(vec![a, Recorder::default()], net());
         let mut rt: Box<dyn Runtime<u64, Recorder>> = Box::new(sim);
-        assert_eq!(rt.backend(), Backend::Simulated);
+        assert_eq!(rt.workers(), 0, "the simulator runs on the caller");
         rt.run_to_quiescence(100);
         assert_eq!(
             rt.actors()[1].received,

@@ -1,12 +1,6 @@
-//! Worker-pool sizing shared by the threaded and async backends.
-//!
-//! Both real-thread backends need the same two answers — "how parallel
-//! is this host?" and "how many workers should a cluster of `n` engines
-//! get?" — and before this module each call site re-derived them ad hoc
-//! (the threaded backend's spin heuristic read `available_parallelism`
-//! inline; nothing resolved `CHILLER_WORKERS` at all). Centralizing the
-//! policy keeps the two backends' reports comparable and gives
-//! `RunReport::workers` one source of truth.
+//! Worker-pool sizing: "how parallel is this host?" and "how many
+//! workers should a pool of `n` engines get?", answered in one place so
+//! `RunReport::workers` has one source of truth.
 
 /// Detected host parallelism: `std::thread::available_parallelism`, or 1
 /// when the host refuses to say (restricted cgroups, exotic platforms —
@@ -15,13 +9,6 @@ pub fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-}
-
-/// Worker count of the threaded backend for `engines` engines: always
-/// one OS thread per engine — that backend's whole point is measuring
-/// dedicated-thread behavior, so `CHILLER_WORKERS` does not apply.
-pub fn threaded_workers(engines: usize) -> usize {
-    engines
 }
 
 /// Worker-pool size of the async backend for `engines` engines:
@@ -40,22 +27,9 @@ pub fn async_workers(engines: usize) -> usize {
     requested.clamp(1, engines.max(1))
 }
 
-/// Whether spin-waiting is safe for a pool of `workers` threads: true
-/// only when the host has at least one core per worker, i.e. a spinning
-/// worker cannot starve a sibling that has real work.
-pub fn spin_allowed(workers: usize) -> bool {
-    detected_parallelism() >= workers.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threaded_is_one_thread_per_engine() {
-        assert_eq!(threaded_workers(7), 7);
-        assert_eq!(threaded_workers(1000), 1000);
-    }
 
     #[test]
     fn async_clamps_to_engine_count() {

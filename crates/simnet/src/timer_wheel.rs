@@ -1,14 +1,9 @@
-//! A coarse hashed timer wheel for the threaded backend's per-worker
-//! timer path.
+//! A coarse hashed timer wheel for the worker pool's per-worker timer
+//! path.
 //!
-//! The previous implementation kept armed timers in a `BinaryHeap` and
-//! slept in `recv_timeout` until the earliest due time, which ties timer
-//! fidelity to the OS sleep granularity (~50–100µs of slop per fire).
 //! The wheel keeps the data-structure costs flat — O(1) arm, O(slots
-//! visited) expiry — and, more importantly, exposes a cheap conservative
-//! [`TimerWheel::next_due`] bound that lets the worker sleep *short* of
-//! the due time and spin the final approach (see `threaded.rs`), cutting
-//! slop well below the sleep granularity.
+//! visited) expiry — and exposes an exact [`TimerWheel::next_due`] bound
+//! that an idle worker parks until (see `async_rt.rs`).
 //!
 //! ## Structure
 //!
@@ -29,7 +24,7 @@
 //! [`TimerWheel::pop_expired`], not by the wheel itself.
 
 /// Default tick width. 16µs is comfortably finer than the OS sleep
-/// granularity the wheel is compensating for, and coarse enough that a
+/// granularity an idle worker wakes at, and coarse enough that a
 /// retry-backoff timer rarely spans more than a few ticks.
 pub const DEFAULT_GRANULARITY_NS: u64 = 16_384;
 
@@ -132,9 +127,9 @@ impl TimerWheel {
         }
         let start = out.len();
         let n_slots = self.slots.len() as u64;
-        // Walk from the earliest armed tick (a `restore` can park an entry
-        // behind the cursor) to the current tick; a full revolution touches
-        // every slot, so cap the walk there.
+        // Walk from the earliest armed tick (`insert` accepts any due time,
+        // so an entry can sit behind the cursor) to the current tick; a full
+        // revolution touches every slot, so cap the walk there.
         let first = self.cursor.min(self.earliest / self.granularity_ns);
         let ticks = (target - first + 1).min(n_slots);
         let mut expired: Vec<Entry> = Vec::new();
@@ -163,14 +158,6 @@ impl TimerWheel {
             .min()
             .unwrap_or(u64::MAX);
         out.len() - start
-    }
-
-    /// Re-arm an entry that was popped but could not be fired (phase
-    /// deadline or event limit tripped mid-batch). Keeps its original due
-    /// time; relative order among re-inserted entries is preserved when
-    /// they are re-inserted in popped order.
-    pub fn restore(&mut self, due: u64, token: u64) {
-        self.insert(due, token);
     }
 }
 
@@ -321,23 +308,5 @@ mod tests {
         assert_eq!(out, vec![(3_000_000, 2)]);
         // After a pop the bound is recomputed over the survivors.
         assert_eq!(wheel.next_due(), Some(5_000_000));
-    }
-
-    #[test]
-    fn restore_preserves_pending_order() {
-        let mut wheel = TimerWheel::default();
-        wheel.insert(1_000, 1);
-        wheel.insert(1_000, 2);
-        wheel.insert(2_000, 3);
-        let mut out = Vec::new();
-        wheel.pop_expired(5_000, &mut out);
-        assert_eq!(out.len(), 3);
-        // Fire only the first; give the rest back.
-        for &(due, token) in &out[1..] {
-            wheel.restore(due, token);
-        }
-        let mut again = Vec::new();
-        wheel.pop_expired(5_000, &mut again);
-        assert_eq!(again, vec![(1_000, 2), (2_000, 3)]);
     }
 }

@@ -1,9 +1,9 @@
-//! Timer-fidelity measurement on the threaded backend: how late timers
-//! actually fire relative to their requested due time (the "slop").
+//! Timer-fidelity measurement on the wall-clock worker pool: how late
+//! timers actually fire relative to their requested due time (the "slop").
 //!
-//! The per-thread timer path sleeps in `recv_timeout`, whose wake-up
-//! granularity is set by the OS (~50–100µs); the wheel + spin-before-sleep
-//! phase is supposed to tighten the final approach. This test records the
+//! A lone ticker on a 1-worker pool leaves the worker idle between fires,
+//! so each fire is a park until the wheel's next due time, and the slop
+//! is the OS sleep granularity (~50–100µs). This test records the
 //! observed slop distribution of a re-arming ticker and prints it (run
 //! with `--nocapture` to read the numbers quoted in DESIGN.md §10), and
 //! asserts only a generous sanity bound so CI stays robust on loaded
@@ -11,7 +11,7 @@
 
 use chiller_common::ids::NodeId;
 use chiller_common::time::Duration;
-use chiller_simnet::{Actor, Ctx, Runtime, ThreadedRuntime, Verb};
+use chiller_simnet::{Actor, AsyncConfig, AsyncRuntime, Ctx, Runtime, Verb};
 
 /// Re-arms a `delay_ns` timer `limit` times, recording each fire's slop
 /// (observed now minus requested due) in nanoseconds.
@@ -49,12 +49,18 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 fn timer_slop_distribution() {
     const FIRES: u64 = 400;
     const DELAY_NS: u64 = 50_000; // 50µs — the retry-backoff scale
-    let mut rt = ThreadedRuntime::new(vec![SlopTicker {
-        delay_ns: DELAY_NS,
-        limit: FIRES,
-        due: 0,
-        slops: Vec::new(),
-    }]);
+    let mut rt = AsyncRuntime::with_config(
+        vec![SlopTicker {
+            delay_ns: DELAY_NS,
+            limit: FIRES,
+            due: 0,
+            slops: Vec::new(),
+        }],
+        AsyncConfig {
+            workers: Some(1),
+            ..AsyncConfig::default()
+        },
+    );
     rt.run_to_quiescence(u64::MAX);
     let mut slops = rt.actors()[0].slops.clone();
     assert_eq!(slops.len() as u64, FIRES);

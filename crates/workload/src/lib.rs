@@ -41,8 +41,8 @@ pub mod ycsb;
 
 #[cfg(test)]
 mod send_bounds {
-    //! Every input source must be `Send`: the threaded backend moves each
-    //! engine (and its boxed source) onto its own OS thread. `InputSource`
+    //! Every input source must be `Send`: the wall-clock worker pool moves
+    //! each engine (and its boxed source) between OS worker threads. `InputSource`
     //! carries the bound in its supertrait; these assertions pin it per
     //! concrete type so a stray `Rc`/raw pointer in a source is caught at
     //! compile time, next to the workload that introduced it.

@@ -1,7 +1,8 @@
 //! Threaded-backend stress suite: the same serializability contract the
 //! simulator's parity suite enforces, exercised under *real* parallelism.
 //!
-//! Four engines on four OS threads hammer the contended transfer workload
+//! Four engines on the worker pool sized at one worker per engine (what
+//! `Backend::Threaded` builds) hammer the contended transfer workload
 //! per protocol; at quiescence the cluster must show balance conservation,
 //! no leaked locks, no zombie transactions, and zero replica divergence —
 //! any cross-thread race in the protocol layer (messages reordered beyond
@@ -11,10 +12,18 @@
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_common::ids::NodeId;
-use chiller_simnet::{Actor, Ctx, Runtime, ThreadedRuntime, Verb};
+use chiller_simnet::{Actor, AsyncConfig, AsyncRuntime, Ctx, Runtime, Verb};
 use chiller_workload::transfer::{self, assert_serializability_invariants, TransferConfig};
 
 const NODES: usize = 4;
+
+/// The raw pool as `Backend::Threaded` sizes it: one worker per engine.
+fn threaded_pool(capacity: usize) -> AsyncConfig {
+    AsyncConfig {
+        capacity,
+        workers: Some(NODES),
+    }
+}
 
 fn contended_config() -> TransferConfig {
     TransferConfig {
@@ -123,7 +132,7 @@ fn run_flood(capacity: usize, per_link: u64) -> Vec<Vec<Vec<u64>>> {
             seen: (0..NODES).map(|_| Vec::new()).collect(),
         })
         .collect();
-    let mut rt = ThreadedRuntime::with_mailbox_capacity(actors, capacity);
+    let mut rt = AsyncRuntime::with_config(actors, threaded_pool(capacity));
     rt.run_to_quiescence(u64::MAX);
     let links = (NODES * (NODES - 1)) as u64;
     assert_eq!(
@@ -215,7 +224,10 @@ fn quiescence_detection_survives_batching() {
             relayed: 0,
         })
         .collect();
-    let mut rt = ThreadedRuntime::new(actors);
+    let mut rt = AsyncRuntime::with_config(
+        actors,
+        threaded_pool(chiller_simnet::DEFAULT_MAILBOX_CAPACITY),
+    );
     // Seed the cascades from the control plane, spread around the ring.
     for c in 0..cascades {
         rt.with_actor_ctx(NodeId((c % NODES as u64) as u32), &mut |_a, ctx| {
