@@ -264,10 +264,11 @@ impl EngineActor {
     }
 
     /// Append one record to the redo log; a single branch when durability
-    /// is off. Group commit lives inside the [`Wal`]: the append fsyncs
-    /// only when the buffered commit marks reach `CHILLER_FSYNC_BATCH`
-    /// (batch-boundary flushes come from [`Actor::on_batch_end`] and the
-    /// control plane's pause points).
+    /// is off. Group commit lives inside the [`Wal`]: when the buffered
+    /// commit marks reach `CHILLER_FSYNC_BATCH` the append writes them and
+    /// asks the log's syncer thread for the fsync, never waiting for it on
+    /// this turn (batch-boundary writes come from [`Actor::on_batch_end`],
+    /// waited-for syncs from the control plane's pause points).
     #[inline]
     pub(crate) fn wal_append(&mut self, rec: WalRecord) {
         if let Some(wal) = self.wal.as_mut() {
@@ -275,8 +276,9 @@ impl EngineActor {
         }
     }
 
-    /// Flush (write + fsync) anything buffered in the redo log. The
-    /// control plane calls this at every pause point — phase boundaries,
+    /// Flush the redo log: write anything buffered and wait for its
+    /// syncer to fsync it, and any sync still in flight. The control
+    /// plane calls this at every pause point — phase boundaries,
     /// quiescence, and crash injection — so "paused" always implies
     /// "durable up to here".
     pub fn wal_flush(&mut self) {
@@ -537,10 +539,11 @@ impl Actor<Msg> for EngineActor {
 
     fn on_batch_end(&mut self) {
         // Group commit's batch valve: hand buffered log bytes to the OS at
-        // the same boundary remote sends flush on, but leave the fsync to
-        // the commit-mark counter (`CHILLER_FSYNC_BATCH`) — syncing every
-        // batch would put one fsync on nearly every message round and
-        // erase the amortization. One branch on the option when
+        // the same boundary remote sends flush on (and before they do),
+        // but leave the fsync to the commit-mark counter
+        // (`CHILLER_FSYNC_BATCH`) and the log's syncer thread — syncing
+        // every batch would put one fsync on nearly every message round
+        // and erase the amortization. One branch on the option when
         // durability is off.
         if let Some(wal) = self.wal.as_mut() {
             wal.write_through();

@@ -128,10 +128,13 @@ impl ClusterBuilder {
     }
 
     /// Group-commit batch: how many commit marks (`Decide`/`InnerCommit`
-    /// records) the redo log buffers before forcing an fsync. 1 fsyncs
-    /// every commit durably before the next; larger values amortize the
-    /// sync across a batch (the batch boundary and every control-plane
-    /// pause also flush). Defaults to the `CHILLER_FSYNC_BATCH`
+    /// records) each redo log buffers per group-commit point, where it
+    /// writes them and hands the fsync to its syncer thread. 1 fsyncs
+    /// every commit durably before the next: the append waits for the
+    /// syncer. Larger values amortize the sync across a batch and do not
+    /// wait for it. Batch boundaries write
+    /// bytes through without a sync; every control-plane pause flushes
+    /// and waits for the sync. Defaults to the `CHILLER_FSYNC_BATCH`
     /// environment knob, falling back to
     /// [`chiller_storage::wal::DEFAULT_FSYNC_BATCH`]; the builder
     /// override wins. Ignored without durability.
@@ -837,6 +840,7 @@ impl Cluster {
                 telemetry.wal_bytes_appended += s.bytes_appended;
                 telemetry.wal_flushes += s.flushes;
                 telemetry.wal_fsyncs += s.fsyncs;
+                telemetry.wal_sync_calls += s.sync_calls;
             }
         }
         RunReport::collect(

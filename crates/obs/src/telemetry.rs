@@ -57,9 +57,15 @@ pub struct RuntimeTelemetry {
     pub wal_bytes_appended: u64,
     /// WAL buffered-write flushes that reached the file.
     pub wal_flushes: u64,
-    /// WAL fsyncs issued. With group commit this is the amortization
-    /// headline: commit marks per fsync = commits / fsyncs.
+    /// WAL group-commit points: fsyncs requested of the logs' syncer
+    /// threads. The amortization headline: commit marks per group-commit
+    /// point = commits / `wal_fsyncs`.
     pub wal_fsyncs: u64,
+    /// `sync_data` calls the WAL syncers made; at most `wal_fsyncs`, less
+    /// when requests arriving during a sync were covered by the next one.
+    /// Wall-clock dependent on every backend, the simulator included: two
+    /// runs with the same seed may report different values.
+    pub wal_sync_calls: u64,
 }
 
 impl RuntimeTelemetry {
@@ -87,13 +93,14 @@ impl RuntimeTelemetry {
         self.wal_bytes_appended += other.wal_bytes_appended;
         self.wal_flushes += other.wal_flushes;
         self.wal_fsyncs += other.wal_fsyncs;
+        self.wal_sync_calls += other.wal_sync_calls;
     }
 
     /// `(name, value)` pairs for every plain counter/gauge, in render order.
     /// Names are Prometheus-style suffix-less stems; the report layer adds
     /// the `chiller_runtime_` prefix. The timer-slop histogram is rendered
     /// separately as quantile gauges.
-    pub fn counters(&self) -> [(&'static str, u64); 18] {
+    pub fn counters(&self) -> [(&'static str, u64); 19] {
         [
             ("batches_drained", self.batches_drained),
             ("flush_stalls", self.flush_stalls),
@@ -113,6 +120,7 @@ impl RuntimeTelemetry {
             ("wal_bytes_appended", self.wal_bytes_appended),
             ("wal_flushes", self.wal_flushes),
             ("wal_fsyncs", self.wal_fsyncs),
+            ("wal_sync_calls", self.wal_sync_calls),
         ]
     }
 }
@@ -173,10 +181,11 @@ mod tests {
             wal_bytes_appended: 16,
             wal_flushes: 17,
             wal_fsyncs: 18,
+            wal_sync_calls: 19,
         };
         let names: Vec<&str> = t.counters().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 19);
         let vals: Vec<u64> = t.counters().iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, (1..=18).collect::<Vec<u64>>());
+        assert_eq!(vals, (1..=19).collect::<Vec<u64>>());
     }
 }

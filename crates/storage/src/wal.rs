@@ -2,7 +2,10 @@
 //!
 //! Durability for the memory-only store: each engine appends the write-sets
 //! the commit path already collects to an append-only log, batching fsyncs
-//! the same way the runtime already batches sends (group commit). The format
+//! the same way the runtime already batches sends (group commit). The
+//! fsync itself runs on a syncer thread each [`Wal`] owns, so the engine
+//! turn that reaches a group-commit point only writes; a flush waits for
+//! the syncer (see [`Wal::flush`]). The format
 //! is dependency-free: length-prefixed binary frames, each carrying a CRC32
 //! over its payload so a torn tail — the normal state of a log after a
 //! crash — is detected and truncated on open rather than misparsed.
@@ -44,10 +47,12 @@ use chiller_common::value::{Row, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
-/// Default number of commit-decision records batched per fsync. Override
-/// with `CHILLER_FSYNC_BATCH` or [`crate::wal::Wal::set_fsync_batch`];
-/// `1` degenerates to an fsync per commit.
+/// Default number of commit-decision records batched per group-commit
+/// point. Override with `CHILLER_FSYNC_BATCH` (or the cluster builder's
+/// `fsync_batch`); `1` degenerates to a waited-for fsync per commit.
 pub const DEFAULT_FSYNC_BATCH: u64 = 64;
 
 /// Upper bound on a single frame's payload, so a corrupt length prefix in
@@ -55,34 +60,63 @@ pub const DEFAULT_FSYNC_BATCH: u64 = 64;
 const MAX_FRAME_LEN: u32 = 1 << 28;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — nibble-table, dependency-free
+// CRC32 (IEEE, reflected) — slicing-by-8, dependency-free
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 16] = [
-    0x0000_0000,
-    0x1DB7_1064,
-    0x3B6E_20C8,
-    0x26D9_30AC,
-    0x76DC_4190,
-    0x6B6B_51F4,
-    0x4DB2_6158,
-    0x5005_713C,
-    0xEDB8_8320,
-    0xF00F_9344,
-    0xD6D6_A3E8,
-    0xCB61_B38C,
-    0x9B64_C2B0,
-    0x86D3_D2D4,
-    0xA00A_E278,
-    0xBDBD_F21C,
-];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is byte `b`'s contribution after `k` more zero
+/// bytes, so eight input bytes fold in with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 4) ^ CRC_TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ CRC_TABLE[((crc ^ ((b as u32) >> 4)) & 0xF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -680,27 +714,93 @@ pub struct WalStats {
     pub bytes_appended: u64,
     /// Buffered-write flushes that reached the file.
     pub flushes: u64,
-    /// fsyncs issued (one per non-empty flush).
+    /// Group-commit points: syncs requested of the syncer, one per full
+    /// batch of commit marks and one per [`Wal::flush`] with unsynced bytes.
     pub fsyncs: u64,
+    /// `sync_data` calls the syncer actually made. At most `fsyncs`:
+    /// requests that arrive while a sync runs are covered by the next one,
+    /// so the count depends on thread timing, even under the simulator.
+    /// Refreshed whenever the owner meets the syncer; exact after a flush.
+    pub sync_calls: u64,
     /// Valid records recovered on open.
     pub recovered_records: u64,
     /// Torn-tail bytes dropped on open.
     pub torn_bytes_dropped: u64,
 }
 
+/// What a [`Wal`] and its syncer thread share, under one mutex.
+#[derive(Default)]
+struct SyncState {
+    /// Group-commit points requested so far.
+    requested: u64,
+    /// The `requested` value the last completed sync covered.
+    synced: u64,
+    /// `sync_data` calls made.
+    calls: u64,
+    /// Set on drop: finish the pending sync, then exit.
+    stop: bool,
+    /// The first failed sync; the owner panics on it at its next call.
+    err: Option<io::Error>,
+}
+
+struct Syncer {
+    state: Arc<(Mutex<SyncState>, Condvar)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// Lock `m`, ignoring poison: no critical section here can leave the
+/// state half-updated.
+fn lock(m: &Mutex<SyncState>) -> MutexGuard<'_, SyncState> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The syncer's loop: sync once per wake-up for everything requested so
+/// far, so a burst of requests costs one `sync_data`, and exit on `stop`
+/// once nothing is pending.
+fn sync_loop(file: File, state: Arc<(Mutex<SyncState>, Condvar)>) {
+    let (m, cv) = &*state;
+    let mut st = lock(m);
+    loop {
+        if st.requested > st.synced && st.err.is_none() {
+            let target = st.requested;
+            drop(st);
+            let res = file.sync_data();
+            st = lock(m);
+            st.calls += 1;
+            match res {
+                Ok(()) => st.synced = target,
+                Err(e) => st.err = Some(e),
+            }
+            cv.notify_all();
+        } else if st.stop {
+            return;
+        } else {
+            st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// Append-only per-engine redo log with group commit: appends buffer in
-/// memory and an fsync is issued when the number of buffered commit marks
-/// reaches the batch size, or when the owner flushes at a batch boundary
-/// (the same amortization points the runtime already uses for sends).
+/// memory, and when the buffered commit marks reach the batch size the
+/// log writes them to the file and asks its syncer thread for an fsync
+/// without waiting for it (at batch 1 it waits: every commit mark is
+/// durable before the next, as with a synchronous commit). The syncer is spawned at the log's first
+/// group-commit point, so a log that is only scanned never starts one.
+/// [`Self::flush`] — the control plane's pause points — waits for the
+/// sync, so a paused log is a durable one.
 ///
-/// Write errors panic: a durability subsystem that cannot write its log
-/// has no useful degraded mode.
+/// Write and fsync errors panic: a durability subsystem that cannot write
+/// its log has no useful degraded mode. A failed fsync surfaces on the
+/// owner's next group-commit point, flush or truncate.
 pub struct Wal {
     file: File,
     path: PathBuf,
     buf: Vec<u8>,
     pending_commit_marks: u64,
     fsync_batch: u64,
+    /// Bytes written to the file since the last sync request.
+    unsynced: bool,
+    syncer: Option<Syncer>,
     /// Counters (fsyncs, bytes, recovery) for telemetry.
     pub stats: WalStats,
 }
@@ -747,6 +847,8 @@ impl Wal {
                 buf: Vec::new(),
                 pending_commit_marks: 0,
                 fsync_batch: fsync_batch.max(1),
+                unsynced: false,
+                syncer: None,
                 stats,
             },
             valid_len,
@@ -758,13 +860,10 @@ impl Wal {
         &self.path
     }
 
-    /// Change the group-commit batch size (buffered commit marks per fsync).
-    pub fn set_fsync_batch(&mut self, batch: u64) {
-        self.fsync_batch = batch.max(1);
-    }
-
-    /// Append one record; flushes (write + fsync) when the buffered commit
-    /// marks reach the batch size.
+    /// Append one record. When the buffered commit marks reach the batch
+    /// size, the bytes go to the file and the syncer is asked for an
+    /// fsync; the append does not wait for it, except at batch 1, where
+    /// it flushes so every commit mark is durable before the next.
     pub fn append(&mut self, rec: &WalRecord) {
         let before = self.buf.len();
         encode_record(rec, &mut self.buf);
@@ -772,8 +871,11 @@ impl Wal {
         self.stats.bytes_appended += (self.buf.len() - before) as u64;
         if rec.is_commit_mark() {
             self.pending_commit_marks += 1;
-            if self.pending_commit_marks >= self.fsync_batch {
+            if self.fsync_batch == 1 {
                 self.flush();
+            } else if self.pending_commit_marks >= self.fsync_batch {
+                self.write_through();
+                self.request_sync();
             }
         }
     }
@@ -787,7 +889,8 @@ impl Wal {
     /// disk. The batch-boundary valve for group commit: bounds the
     /// in-memory buffer at every engine batch without spending the fsync
     /// the commit-mark counter is amortizing. Commit marks written this
-    /// way stay pending until the next [`Self::flush`].
+    /// way stay pending until the next group-commit point or
+    /// [`Self::flush`].
     pub fn write_through(&mut self) {
         if self.buf.is_empty() {
             return;
@@ -796,27 +899,19 @@ impl Wal {
             .write_all(&self.buf)
             .unwrap_or_else(|e| panic!("wal write to {} failed: {e}", self.path.display()));
         self.buf.clear();
+        self.unsynced = true;
         self.stats.flushes += 1;
     }
 
-    /// Write and fsync everything buffered. No-op when nothing is pending
-    /// — neither buffered bytes nor commit marks awaiting their fsync.
+    /// Write everything buffered and wait until it is on disk, including
+    /// a sync an earlier group-commit point left in flight. Returns at
+    /// once when nothing was written since the last completed sync.
     pub fn flush(&mut self) {
-        if self.buf.is_empty() && self.pending_commit_marks == 0 {
-            return;
+        self.write_through();
+        if self.unsynced {
+            self.request_sync();
         }
-        if !self.buf.is_empty() {
-            self.file
-                .write_all(&self.buf)
-                .unwrap_or_else(|e| panic!("wal write to {} failed: {e}", self.path.display()));
-            self.buf.clear();
-            self.stats.flushes += 1;
-        }
-        self.file
-            .sync_data()
-            .unwrap_or_else(|e| panic!("wal fsync of {} failed: {e}", self.path.display()));
-        self.pending_commit_marks = 0;
-        self.stats.fsyncs += 1;
+        self.wait_synced();
     }
 
     /// Discard the log's contents (after a checkpoint made them redundant).
@@ -825,6 +920,8 @@ impl Wal {
     pub fn truncate(&mut self) {
         self.buf.clear();
         self.pending_commit_marks = 0;
+        self.unsynced = false;
+        self.wait_synced();
         self.file
             .set_len(0)
             .unwrap_or_else(|e| panic!("wal truncate of {} failed: {e}", self.path.display()));
@@ -834,6 +931,78 @@ impl Wal {
         self.file
             .sync_data()
             .unwrap_or_else(|e| panic!("wal fsync of {} failed: {e}", self.path.display()));
+    }
+
+    /// A group-commit point: ask the syncer (spawning it on first use) to
+    /// fsync everything written so far.
+    fn request_sync(&mut self) {
+        self.pending_commit_marks = 0;
+        self.unsynced = false;
+        self.stats.fsyncs += 1;
+        let syncer = match &mut self.syncer {
+            Some(s) => s,
+            None => self.syncer.insert(Syncer::spawn(&self.file, &self.path)),
+        };
+        let (m, cv) = &*syncer.state;
+        let mut st = lock(m);
+        st.requested += 1;
+        cv.notify_all();
+        check(st, &mut self.stats, &self.path);
+    }
+
+    /// Block until every requested sync has completed.
+    fn wait_synced(&mut self) {
+        let Some(syncer) = &self.syncer else {
+            return;
+        };
+        let (m, cv) = &*syncer.state;
+        let st = cv
+            .wait_while(lock(m), |st| st.synced < st.requested && st.err.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        check(st, &mut self.stats, &self.path);
+    }
+}
+
+/// Refresh `sync_calls` and panic on a stored fsync failure (after
+/// releasing the lock, so the syncer and `Drop` can still take it).
+fn check(st: MutexGuard<'_, SyncState>, stats: &mut WalStats, path: &Path) {
+    stats.sync_calls = st.calls;
+    let err = st.err.as_ref().map(ToString::to_string);
+    drop(st);
+    if let Some(e) = err {
+        panic!("wal fsync of {} failed: {e}", path.display());
+    }
+}
+
+impl Syncer {
+    fn spawn(file: &File, path: &Path) -> Syncer {
+        let file = file
+            .try_clone()
+            .unwrap_or_else(|e| panic!("wal syncer for {}: {e}", path.display()));
+        let state = Arc::new((Mutex::new(SyncState::default()), Condvar::new()));
+        let shared = Arc::clone(&state);
+        let thread = thread::Builder::new()
+            .name("wal-syncer".into())
+            .spawn(move || sync_loop(file, shared))
+            .unwrap_or_else(|e| panic!("wal syncer for {}: {e}", path.display()));
+        Syncer {
+            state,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Syncer {
+    /// Let the syncer finish the sync in flight, then join it.
+    fn drop(&mut self) {
+        let (m, cv) = &*self.state;
+        lock(m).stop = true;
+        cv.notify_all();
+        if let Some(t) = self.thread.take() {
+            // A panic there was already reported by the panic hook, and a
+            // drop must not raise a second one.
+            let _ = t.join();
+        }
     }
 }
 
@@ -1045,6 +1214,36 @@ mod tests {
         }
     }
 
+    /// Bit-at-a-time CRC-32, the definition the tables are derived from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        /// Slicing-by-8 agrees with the bitwise definition at every length
+        /// and at every start offset within an 8-byte word.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            offset in 0usize..8,
+            data in prop::collection::vec(any::<u8>(), 0..=600),
+        ) {
+            let mut buf = vec![0xA5; offset];
+            buf.extend_from_slice(&data);
+            prop_assert_eq!(crc32(&buf[offset..]), crc32_bitwise(&data));
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
@@ -1191,6 +1390,120 @@ mod tests {
         drop(wal);
         let (_, recovered) = Wal::open(&path, 1).unwrap();
         assert_eq!(recovered, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn decide(seq: u64) -> WalRecord {
+        WalRecord::Decide {
+            txn: txn(seq),
+            proc: "p".into(),
+            pending_inner: None,
+            writes: vec![],
+        }
+    }
+
+    #[test]
+    fn flush_waits_for_the_syncer() {
+        let dir = std::env::temp_dir().join(format!("chiller-wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("syncer.wal");
+        let _ = std::fs::remove_file(&path);
+
+        let (mut wal, _) = Wal::open(&path, 2).unwrap();
+        for seq in 0..10 {
+            wal.append(&decide(seq));
+        }
+        // Five group-commit points were requested, none waited for.
+        assert_eq!(wal.stats.fsyncs, 5);
+        wal.flush();
+        let st = lock(&wal.syncer.as_ref().unwrap().state.0);
+        assert_eq!(st.synced, st.requested);
+        assert_eq!(st.requested, wal.stats.fsyncs);
+        assert_eq!(st.calls, wal.stats.sync_calls);
+        assert!(0 < st.calls && st.calls <= wal.stats.fsyncs);
+        drop(st);
+        // Nothing new since: a second flush requests nothing.
+        wal.flush();
+        assert_eq!(wal.stats.fsyncs, 5);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn drop_joins_the_syncer() {
+        let dir = std::env::temp_dir().join(format!("chiller-wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("drop.wal");
+        let _ = std::fs::remove_file(&path);
+
+        let recs: Vec<WalRecord> = (0..32).map(decide).collect();
+        let (mut wal, _) = Wal::open(&path, 2).unwrap();
+        for r in &recs {
+            wal.append(r);
+        }
+        // Every second append requested a sync; the last may still be
+        // running.
+        let state = Arc::clone(&wal.syncer.as_ref().unwrap().state);
+        let fsyncs = wal.stats.fsyncs;
+        drop(wal);
+        // The thread has exited (its handle on the state is gone) after
+        // finishing every requested sync.
+        assert_eq!(Arc::strong_count(&state), 1);
+        let st = lock(&state.0);
+        assert_eq!((st.requested, st.synced), (fsyncs, fsyncs));
+        assert!(0 < st.calls && st.calls <= fsyncs);
+        drop(st);
+        let (_, len) = Wal::open(&path, 2).unwrap();
+        assert_eq!(read_all(&path, len), recs);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn batch_one_is_durable_before_the_next_append() {
+        let dir = std::env::temp_dir().join(format!("chiller-wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sync-commit.wal");
+        let _ = std::fs::remove_file(&path);
+
+        let (mut wal, _) = Wal::open(&path, 1).unwrap();
+        for seq in 0..4 {
+            wal.append(&decide(seq));
+            // No flush: the append itself waited for its sync.
+            let st = lock(&wal.syncer.as_ref().unwrap().state.0);
+            assert_eq!((st.requested, st.synced), (seq + 1, seq + 1));
+        }
+        assert_eq!(wal.stats.fsyncs, 4);
+        assert_eq!(wal.buffered(), 0);
+        drop(wal);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "wal fsync of /dev/null failed")]
+    fn syncer_failure_is_loud() {
+        // fsync of a character device fails (EINVAL); the syncer stores
+        // the error and the owner's flush raises it.
+        let (mut wal, _) = Wal::open(Path::new("/dev/null"), 1).unwrap();
+        wal.append(&decide(1));
+        wal.flush();
+    }
+
+    #[test]
+    fn syncer_starts_at_the_first_group_commit_point() {
+        let dir = std::env::temp_dir().join(format!("chiller-wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lazy.wal");
+        let _ = std::fs::remove_file(&path);
+
+        let (mut wal, _) = Wal::open(&path, 4).unwrap();
+        wal.append(&WalRecord::Ack { txn: txn(1) });
+        wal.append(&decide(2));
+        wal.write_through();
+        assert!(wal.syncer.is_none());
+        wal.flush();
+        assert!(wal.syncer.is_some());
+        drop(wal);
+        let (wal, _) = Wal::open(&path, 4).unwrap();
+        assert!(wal.syncer.is_none());
         std::fs::remove_file(&path).unwrap();
     }
 }
