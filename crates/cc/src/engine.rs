@@ -35,7 +35,7 @@ use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::MetricSet;
 use chiller_common::rng::{derive_seed, seeded};
 use chiller_common::time::{Duration, SimTime};
-use chiller_obs::{EventKind, HistoryRecorder, Tracer};
+use chiller_obs::{EventKind, History, HistoryRecorder, TraceLog, Tracer};
 use chiller_simnet::{Actor, Ctx, Verb};
 use chiller_sproc::ExecState;
 use chiller_storage::placement::Placement;
@@ -232,6 +232,14 @@ impl EngineActor {
     pub fn take_epoch_summary(&mut self) -> Option<EpochSummary> {
         let node = self.node;
         self.monitor.as_mut().map(|m| m.end_epoch(node))
+    }
+
+    /// Move everything the tracer and the history recorder buffered since
+    /// the last drain into the cluster's accumulated log and history. The
+    /// cluster calls this only while the runtime is paused.
+    pub fn drain_observations(&mut self, trace: &mut TraceLog, history: &mut History) {
+        self.tracer.drain_into(trace);
+        self.recorder.drain_into(history);
     }
 
     /// Records with a migration currently in flight or queued for retry at

@@ -106,9 +106,9 @@ pub struct CheckReport {
     pub edges: usize,
     /// Dependency cycles found, deduplicated across windows.
     pub violations: Vec<Violation>,
-    /// Observations lost to full rings before the check (size
-    /// `CHILLER_CHECK_BUF` up if nonzero — a partial history can hide
-    /// violations, though it cannot fabricate them).
+    /// Observations lost before the check. Always 0: engines record the
+    /// history uncapped. Kept so callers that gate on
+    /// [`Self::is_complete`] keep compiling.
     pub events_dropped: u64,
 }
 
@@ -119,7 +119,8 @@ impl CheckReport {
     }
 
     /// True when no observation was dropped: the verdict covers the whole
-    /// recorded run, not a sample of it.
+    /// recorded run, not a sample of it. Always true (see
+    /// [`Self::events_dropped`]).
     pub fn is_complete(&self) -> bool {
         self.events_dropped == 0
     }

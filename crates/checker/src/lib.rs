@@ -8,8 +8,8 @@
 //! The pipeline:
 //!
 //! 1. Engines record observations — `(txn, record, version)` for every
-//!    read and every installed write, plus a commit marker — through the
-//!    lock-free ring transport in `chiller-obs` ([`chiller_obs::HistoryRecorder`]).
+//!    read and every installed write, plus a commit marker — into the
+//!    per-engine logs of `chiller-obs` ([`chiller_obs::HistoryRecorder`]).
 //! 2. [`assemble`] groups the drained [`chiller_obs::History`] by
 //!    transaction and keeps only committed ones (every attempt runs under
 //!    a fresh `TxnId`, so aborted attempts vanish here without any
@@ -20,8 +20,9 @@
 //!    classifies every cycle found ([`Anomaly`]): a serializable history
 //!    has an acyclic dependency graph, so any cycle is a violation.
 //!
-//! Windowing ([`CheckMode::Window`]) bounds memory and time on long
-//! histories at the cost of missing cycles wider than a window; windows
+//! Windowing ([`CheckMode::Window`]) bounds the cycle search's memory and
+//! time on long histories at the cost of missing cycles wider than a
+//! window (the recorded history itself is O(history) in every mode); windows
 //! overlap by half so neighboring-transaction cycles never straddle a cut.
 //! [`CheckMode::Full`] checks one window covering everything — the right
 //! setting for tests.
@@ -42,8 +43,5 @@ use chiller_obs::History;
 /// Assemble and check a drained history in one step: the whole pipeline
 /// behind a single call for the `Cluster` drain path.
 pub fn check_history(history: &History, mode: CheckMode) -> CheckReport {
-    let txns = assemble(history);
-    let mut report = check(&txns, mode);
-    report.events_dropped = history.dropped;
-    report
+    check(&assemble(history), mode)
 }

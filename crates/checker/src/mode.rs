@@ -6,12 +6,13 @@ pub const DEFAULT_CHECK_WINDOW: usize = 1024;
 /// How much of the commit order each cycle search covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckMode {
-    /// No checking: no rings exist, record calls are a single branch.
+    /// No checking: nothing is recorded, record calls are a single branch.
     Off,
     /// Sliding windows of `n` committed transactions, overlapping by
     /// `n/2`: cycles among transactions committed within `n/2` of each
     /// other are always caught; wider cycles may be missed. Bounds the
-    /// cycle search on long histories.
+    /// cycle search on long histories, not the memory the recorded
+    /// history takes (O(history) in every mode).
     Window(usize),
     /// One window over the whole history: complete, O(history) memory.
     Full,
@@ -46,31 +47,6 @@ impl CheckMode {
         }
     }
 
-    /// History ring capacity from `CHILLER_CHECK_BUF` (events per engine),
-    /// defaulting to [`chiller_obs::DEFAULT_HISTORY_BUF`].
-    ///
-    /// # Panics
-    /// On anything that is not a positive integer — a zero-capacity ring
-    /// would drop every observation and turn each verdict `incomplete`,
-    /// which is worse than failing at startup (same loud-knob contract as
-    /// `CHILLER_CHECK` and `CHILLER_WORKERS`).
-    pub fn buf_from_env() -> usize {
-        match std::env::var("CHILLER_CHECK_BUF") {
-            Err(_) => chiller_obs::DEFAULT_HISTORY_BUF,
-            Ok(v) => Self::parse_buf(&v),
-        }
-    }
-
-    /// Parse one `CHILLER_CHECK_BUF` value; panics unless it is a positive
-    /// integer (factored out of [`Self::buf_from_env`] so the loudness
-    /// contract is testable without mutating process environment).
-    pub fn parse_buf(v: &str) -> usize {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("CHILLER_CHECK_BUF must be a positive integer, got {v:?}"),
-        }
-    }
-
     /// Whether any observations are recorded at all.
     pub fn enabled(self) -> bool {
         !matches!(self, CheckMode::Off)
@@ -89,24 +65,6 @@ impl CheckMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buf_parses_positive_integers() {
-        assert_eq!(CheckMode::parse_buf("1"), 1);
-        assert_eq!(CheckMode::parse_buf("65536"), 65536);
-    }
-
-    #[test]
-    #[should_panic(expected = "CHILLER_CHECK_BUF must be a positive integer")]
-    fn buf_rejects_zero_loudly() {
-        CheckMode::parse_buf("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "CHILLER_CHECK_BUF must be a positive integer")]
-    fn buf_rejects_garbage_loudly() {
-        CheckMode::parse_buf("lots");
-    }
 
     #[test]
     fn labels_and_enabled() {

@@ -129,7 +129,6 @@ mod tests {
                 ),
                 ev(4, HistoryEventKind::Commit { txn: txn(1) }),
             ],
-            dropped: 0,
         };
         let txns = assemble(&h);
         assert_eq!(txns.len(), 1);
@@ -162,7 +161,6 @@ mod tests {
                 ),
                 ev(5, HistoryEventKind::Commit { txn: txn(1) }),
             ],
-            dropped: 0,
         };
         let txns = assemble(&h);
         assert_eq!(txns.len(), 2);

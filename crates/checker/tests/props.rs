@@ -79,7 +79,7 @@ fn serial_history(specs: &[Spec]) -> History {
         }
         push(HistoryEventKind::Commit { txn });
     }
-    History { events, dropped: 0 }
+    History { events }
 }
 
 proptest! {

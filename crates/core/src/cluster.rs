@@ -12,7 +12,7 @@ use chiller_common::error::{ChillerError, Result};
 use chiller_common::ids::{NodeId, PartitionId, RecordId};
 use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
-use chiller_obs::{History, HistoryRecorder, HistorySink, TraceLog, TraceMode, TraceSink, Tracer};
+use chiller_obs::{History, HistoryRecorder, TraceLog, TraceMode, Tracer};
 use chiller_simnet::{AsyncConfig, AsyncRuntime, Backend, Ctx, Runtime, Simulation};
 use chiller_sproc::Procedure;
 use chiller_storage::placement::{HashPlacement, Placement};
@@ -147,10 +147,10 @@ impl ClusterBuilder {
     /// Select the serializability-checking mode (DESIGN.md §14):
     /// [`CheckMode::Off`] (the default), bounded sliding windows, or the
     /// full history. When enabled, every engine records the versioned
-    /// reads and installed writes of its transactions through a lock-free
-    /// ring (never stalling execution); [`Cluster::check_history`] drains
-    /// and checks them. Defaults to the `CHILLER_CHECK` environment knob
-    /// (off when unset); the builder override wins over the environment.
+    /// reads and installed writes of its transactions into its own
+    /// history log; [`Cluster::check_history`] drains and checks them.
+    /// Defaults to the `CHILLER_CHECK` environment knob (off when unset);
+    /// the builder override wins over the environment.
     pub fn check(&mut self, mode: CheckMode) -> &mut Self {
         self.check = Some(mode);
         self
@@ -338,18 +338,14 @@ impl ClusterBuilder {
             .collect();
 
         // Tracing resolves builder overrides first, then the environment
-        // (`CHILLER_TRACE` / `CHILLER_TRACE_BUF`).
-        // When off, no rings exist and every engine carries a no-op tracer.
+        // (`CHILLER_TRACE` / `CHILLER_TRACE_BUF`). When off, every engine
+        // carries a no-op tracer.
         let trace_mode = self.trace.unwrap_or_else(TraceMode::from_env);
         let trace_buf = TraceMode::buf_from_env();
-        let mut trace_sinks: Vec<TraceSink> = Vec::new();
 
-        // Serializability checking resolves the same way
-        // (`CHILLER_CHECK` / `CHILLER_CHECK_BUF`). When off, no rings
-        // exist and every engine carries a no-op recorder.
+        // Serializability checking resolves the same way (`CHILLER_CHECK`).
+        // When off, every engine carries a no-op recorder.
         let check_mode = self.check.unwrap_or_else(CheckMode::from_env);
-        let check_buf = CheckMode::buf_from_env();
-        let mut history_sinks: Vec<HistorySink> = Vec::new();
 
         // Durability resolves the same way (`CHILLER_WAL` /
         // `CHILLER_FSYNC_BATCH`; builder override wins). Opening the logs
@@ -491,20 +487,6 @@ impl ClusterBuilder {
                     a.cfg.max_sketch_records,
                 )
             });
-            let tracer = if trace_mode.enabled() {
-                let (tracer, sink) = Tracer::buffered(trace_mode, trace_buf);
-                trace_sinks.push(sink);
-                tracer
-            } else {
-                Tracer::disabled()
-            };
-            let recorder = if check_mode.enabled() {
-                let (recorder, sink) = HistoryRecorder::buffered(check_buf);
-                history_sinks.push(sink);
-                recorder
-            } else {
-                HistoryRecorder::disabled()
-            };
             let mut source = source_factory(node);
             source.resume_at_epoch(epoch);
             actors.push(EngineActor::new(EngineParams {
@@ -519,8 +501,8 @@ impl ClusterBuilder {
                 replicas: reps,
                 source,
                 monitor,
-                tracer,
-                recorder,
+                tracer: Tracer::new(trace_mode, trace_buf),
+                recorder: HistoryRecorder::new(check_mode.enabled()),
                 wal: wals[n].take(),
                 txn_seq_start,
             }));
@@ -549,16 +531,10 @@ impl ClusterBuilder {
             rt,
             backend: self.backend,
             adaptive,
-            trace: TraceState {
-                mode: trace_mode,
-                sinks: trace_sinks,
-                log: TraceLog::default(),
-            },
-            check: CheckState {
-                mode: check_mode,
-                sinks: history_sinks,
-                history: History::default(),
-            },
+            trace_mode,
+            trace: TraceLog::default(),
+            check_mode,
+            history: History::default(),
             durable_dir,
             recovery,
         })
@@ -621,25 +597,6 @@ fn fsync_batch_from_env() -> Option<u64> {
     }
 }
 
-/// Trace plumbing for a built cluster: the consumer half of every engine's
-/// trace ring plus the events accumulated across drains.
-struct TraceState {
-    mode: TraceMode,
-    sinks: Vec<TraceSink>,
-    log: TraceLog,
-}
-
-/// Serializability-check plumbing: the consumer half of every engine's
-/// history ring plus the observations accumulated across drains. Unlike
-/// traces, accumulated history is *never* discarded at a metrics reset —
-/// a transaction straddling the warm-up boundary must keep its reads and
-/// its commit in one history or the checker would see a torn transaction.
-struct CheckState {
-    mode: CheckMode,
-    sinks: Vec<HistorySink>,
-    history: History,
-}
-
 /// Control-plane state of an adapting cluster.
 struct AdaptiveState {
     cfg: AdaptiveConfig,
@@ -667,8 +624,16 @@ pub struct Cluster {
     /// The backend this cluster was built for (report labelling).
     backend: Backend,
     adaptive: Option<AdaptiveState>,
-    trace: TraceState,
-    check: CheckState,
+    trace_mode: TraceMode,
+    /// Trace events drained from the engines since the last take.
+    trace: TraceLog,
+    check_mode: CheckMode,
+    /// Observations drained from the engines since the last take. Unlike
+    /// traces, history is *never* discarded at a metrics reset — a
+    /// transaction straddling the warm-up boundary must keep its reads and
+    /// its commit in one history or the checker would see a torn
+    /// transaction.
+    history: History,
     /// Directory holding per-node logs + checkpoints when durable.
     durable_dir: Option<PathBuf>,
     /// What recovery found and did, when this build was a restart.
@@ -733,51 +698,51 @@ impl Cluster {
         for engine in self.rt.actors_mut() {
             engine.reset_metrics();
         }
-        self.pump_trace();
-        self.trace.log = TraceLog::default();
-        // History is pumped so the rings cannot overflow across a long
-        // warm-up, but — unlike traces — NOT discarded: serializability is
-        // a whole-run property, and a warm-up discard here would tear a
-        // boundary-straddling transaction's reads from its commit marker.
-        self.pump_history();
+        self.drain_observations();
+        self.trace = TraceLog::default();
+        // History is drained too, but — unlike traces — NOT discarded:
+        // serializability is a whole-run property, and a warm-up discard
+        // here would tear a boundary-straddling transaction's reads from
+        // its commit marker.
     }
 
     /// The active trace mode (resolved from the builder override or the
     /// `CHILLER_TRACE` environment knob at build time).
     pub fn trace_mode(&self) -> TraceMode {
-        self.trace.mode
+        self.trace_mode
     }
 
-    /// Drain every engine's trace ring and hand over everything recorded
+    /// Drain every engine's trace log and hand over everything recorded
     /// since the last take (or the last [`Self::reset_metrics`]). Empty
     /// when tracing is off.
     pub fn take_trace(&mut self) -> TraceLog {
-        self.pump_trace();
-        std::mem::take(&mut self.trace.log)
+        self.drain_observations();
+        std::mem::take(&mut self.trace)
     }
 
-    /// Move buffered events out of the per-engine rings into the
-    /// accumulated log. The rings are SPSC (engine → control plane), so
-    /// draining is safe whenever this thread holds the cluster; doing it
-    /// at phase boundaries keeps the rings from overflowing on long runs.
-    fn pump_trace(&mut self) {
-        for sink in &mut self.trace.sinks {
-            sink.drain_into(&mut self.trace.log);
+    /// Move every engine's buffered trace events and observations into
+    /// the accumulated log and history. The runtime is paused whenever
+    /// this thread holds the cluster, so the engines are ours to read.
+    /// Each drain empties the engines' logs, so a trace log's cap bounds
+    /// what one engine records between two pause points.
+    fn drain_observations(&mut self) {
+        for engine in self.rt.actors_mut() {
+            engine.drain_observations(&mut self.trace, &mut self.history);
         }
     }
 
     /// The active serializability-check mode (resolved from the builder
     /// override or the `CHILLER_CHECK` environment knob at build time).
     pub fn check_mode(&self) -> CheckMode {
-        self.check.mode
+        self.check_mode
     }
 
-    /// Drain every engine's history ring and hand over the accumulated
+    /// Drain every engine's history log and hand over the accumulated
     /// observation history (all of it, warm-up included). Empty when
     /// checking is off.
     pub fn take_history(&mut self) -> History {
-        self.pump_history();
-        std::mem::take(&mut self.check.history)
+        self.drain_observations();
+        std::mem::take(&mut self.history)
     }
 
     /// Drain and check the accumulated history for serializability under
@@ -791,34 +756,20 @@ impl Cluster {
     /// checker run would need.
     pub fn check_history(&mut self) -> CheckReport {
         let history = self.take_history();
-        chiller_checker::check_history(&history, self.check.mode)
+        chiller_checker::check_history(&history, self.check_mode)
     }
 
-    /// Assert the recorded history is serializable and complete (no
-    /// dropped observations), panicking with the full violation list
-    /// otherwise. `label` names the run in the panic message. No-op when
-    /// checking is off.
+    /// Assert the recorded history is serializable, panicking with the
+    /// full violation list otherwise. `label` names the run in the panic
+    /// message. No-op when checking is off.
     pub fn expect_serializable(&mut self, label: &str) {
         let report = self.check_history();
-        assert!(
-            report.is_complete(),
-            "[{label}] history incomplete: {} observations dropped — raise CHILLER_CHECK_BUF",
-            report.events_dropped
-        );
         if !report.ok() {
             let mut msg = format!("[{label}] serializability violated — {}", report.summary());
             for v in &report.violations {
                 msg.push_str(&format!("\n  {v}"));
             }
             panic!("{msg}");
-        }
-    }
-
-    /// Move buffered observations out of the per-engine history rings into
-    /// the accumulated history (same SPSC contract as [`Self::pump_trace`]).
-    fn pump_history(&mut self) {
-        for sink in &mut self.check.sinks {
-            sink.drain_into(&mut self.check.history);
         }
     }
 
@@ -829,18 +780,15 @@ impl Cluster {
 
     fn collect(&mut self, elapsed: Duration, wall: std::time::Duration) -> RunReport {
         self.flush_wals();
-        self.pump_trace();
-        self.pump_history();
+        self.drain_observations();
         let mut telemetry = self.rt.telemetry();
-        telemetry.trace_events_dropped = self.trace.log.dropped;
-        telemetry.history_events_dropped = self.check.history.dropped;
+        telemetry.trace_events_dropped = self.trace.dropped;
         for engine in self.rt.actors() {
             if let Some(s) = engine.wal_stats() {
                 telemetry.wal_records_appended += s.records_appended;
                 telemetry.wal_bytes_appended += s.bytes_appended;
                 telemetry.wal_flushes += s.flushes;
                 telemetry.wal_fsyncs += s.fsyncs;
-                telemetry.wal_sync_calls += s.sync_calls;
             }
         }
         RunReport::collect(
@@ -1012,8 +960,7 @@ impl Cluster {
         }
         self.rt.run_to_quiescence(u64::MAX);
         self.flush_wals();
-        self.pump_trace();
-        self.pump_history();
+        self.drain_observations();
     }
 
     /// Whether this cluster logs to per-node redo logs.
@@ -1055,7 +1002,7 @@ impl Cluster {
     }
 
     /// Crash the cluster at a flush boundary: flush every redo log, drain
-    /// the observability rings, and drop the runtime *without*
+    /// the engines' trace and history logs, and drop the runtime *without*
     /// checkpointing — exactly what a machine failure between batches
     /// leaves behind. The returned snapshot carries the acked commit
     /// counts and the drained history so a test can certify the recovered
@@ -1063,8 +1010,7 @@ impl Cluster {
     /// (acked ⟺ its `Ack` record flushed, which this flush guarantees).
     pub fn kill(mut self) -> CrashSnapshot {
         self.flush_wals();
-        self.pump_trace();
-        self.pump_history();
+        self.drain_observations();
         let mut commits_by_proc: BTreeMap<String, u64> = BTreeMap::new();
         let mut total = 0;
         for engine in self.rt.actors() {
@@ -1077,7 +1023,7 @@ impl Cluster {
             }
         }
         CrashSnapshot {
-            history: std::mem::take(&mut self.check.history),
+            history: std::mem::take(&mut self.history),
             commits_by_proc,
             total_commits: total,
         }

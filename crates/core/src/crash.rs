@@ -2,7 +2,7 @@
 //!
 //! The crash model is **kill at a flush boundary**: [`crate::Cluster::kill`]
 //! pauses the runtime, flushes every engine's redo log, drains the
-//! observability rings, and drops the cluster without checkpointing. The
+//! engines' trace and history logs, and drops the cluster without checkpointing. The
 //! next [`crate::ClusterBuilder::build`] against the same durable directory
 //! finds the logs and runs the recovery protocol in `recover`. Torn-write
 //! realism (a crash mid-`write(2)`) is covered separately at the codec

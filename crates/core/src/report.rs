@@ -136,22 +136,19 @@ impl RunReport {
         self.metrics.latency.p99() as f64 / 1_000.0
     }
 
-    /// Observability events lost to full rings: `(trace, history)` drops.
-    /// Nonzero history drops make every checker verdict over this run
-    /// `incomplete`.
+    /// Observability events lost: `(trace, history)` drops. Trace events
+    /// drop past the per-engine `CHILLER_TRACE_BUF` cap; the history is
+    /// recorded uncapped, so its half is always 0 (kept for callers that
+    /// destructure the pair).
     pub fn events_dropped(&self) -> (u64, u64) {
-        (
-            self.telemetry.trace_events_dropped,
-            self.telemetry.history_events_dropped,
-        )
+        (self.telemetry.trace_events_dropped, 0)
     }
 
     /// One-line human summary, self-describing about what ran: backend
     /// and worker count lead the line so two summaries are never
-    /// compared across silently different configurations. When
-    /// observability rings overflowed, the line ends with a DEGRADED
-    /// marker — an `incomplete` checker verdict must be visible here, not
-    /// only in the raw report.
+    /// compared across silently different configurations. When trace
+    /// events were dropped, the line ends with a DEGRADED marker — an
+    /// incomplete trace must be visible here, not only in the raw report.
     pub fn summary(&self) -> String {
         let mut s = format!(
             "[{} backend, {} workers] {:.0} txn/s, abort rate {:.3}, distributed {:.2}, mean latency {:.1}us (p99 {:.1}us), commits {}",
@@ -164,12 +161,12 @@ impl RunReport {
             self.p99_latency_us(),
             self.total_commits(),
         );
-        let (trace_drops, history_drops) = self.events_dropped();
-        if trace_drops > 0 || history_drops > 0 {
+        let trace_drops = self.telemetry.trace_events_dropped;
+        if trace_drops > 0 {
             let _ = write!(
                 s,
-                ", DEGRADED: {trace_drops} trace + {history_drops} history events dropped \
-                 (verdicts incomplete; raise CHILLER_TRACE_BUF / CHILLER_CHECK_BUF)"
+                ", DEGRADED: {trace_drops} trace events dropped \
+                 (trace incomplete; raise CHILLER_TRACE_BUF)"
             );
         }
         s
@@ -240,20 +237,13 @@ impl RunReport {
              chiller_runtime_trace_events_dropped {}",
             self.telemetry.trace_events_dropped
         );
-        let _ = writeln!(
-            out,
-            "# TYPE chiller_runtime_history_events_dropped counter\n\
-             chiller_runtime_history_events_dropped {}",
-            self.telemetry.history_events_dropped
-        );
-        // Single alertable flag: 1 when any observability ring overflowed
-        // (trace timeline or checker history incomplete for this run).
-        let (trace_drops, history_drops) = self.events_dropped();
+        // Single alertable flag: 1 when the trace timeline of this run is
+        // incomplete.
         let _ = writeln!(
             out,
             "# TYPE chiller_observability_degraded gauge\n\
              chiller_observability_degraded {}",
-            u8::from(trace_drops > 0 || history_drops > 0)
+            u8::from(self.telemetry.trace_events_dropped > 0)
         );
         out
     }

@@ -58,7 +58,7 @@ impl InputSource for TransferSource {
     }
 }
 
-fn build_cluster(protocol: Protocol, seed: u64, trace: Option<TraceMode>) -> Cluster {
+fn builder(protocol: Protocol, seed: u64) -> ClusterBuilder {
     let mut builder = ClusterBuilder::new(schema(), 4);
     let proc_id = builder.register_proc(transfer_proc());
     let mut config = SimConfig::default();
@@ -75,6 +75,11 @@ fn build_cluster(protocol: Protocol, seed: u64, trace: Option<TraceMode>) -> Clu
             )
         }))
         .source_per_node(move |_| Box::new(TransferSource { proc: proc_id }));
+    builder
+}
+
+fn build_cluster(protocol: Protocol, seed: u64, trace: Option<TraceMode>) -> Cluster {
+    let mut builder = builder(protocol, seed);
     // Builder override only — never the environment — so parallel tests
     // cannot race on `CHILLER_TRACE`.
     builder.trace(trace.unwrap_or(TraceMode::Off));
@@ -139,6 +144,36 @@ fn sim_report_byte_identical_with_tracing_on() {
     }
 }
 
+/// One seed, one report: two simulated, durable, fully checked runs with
+/// the same seed render the same Prometheus dump and summary. Durable
+/// simulated runs still start an OS thread per redo log (the fsync
+/// syncer), so a counter that follows its timing would break this.
+#[test]
+fn durable_checked_sim_report_is_a_function_of_the_seed() {
+    let render = |run: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("chiller-trace-seed-{run}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut b = builder(Protocol::Chiller, 43);
+        b.trace(TraceMode::Off)
+            .check(CheckMode::Full)
+            .durable(&dir)
+            .fsync_batch(2);
+        let mut cluster = b.build().unwrap();
+        let report = cluster.run(RunSpec::millis(1, 5));
+        cluster.quiesce();
+        cluster.expect_serializable(run);
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.telemetry.wal_fsyncs > 0, "run {run} must be durable");
+        (report.prometheus(), report.summary())
+    };
+    let (prom_a, summary_a) = render("a");
+    let (prom_b, summary_b) = render("b");
+    assert_eq!(prom_a, prom_b, "same seed, different Prometheus dump");
+    assert_eq!(summary_a, summary_b, "same seed, different summary");
+}
+
 /// Full mode records the whole lifecycle; the log carries begins, commits,
 /// aborts with reasons, lock spans, and remote hops, and the commit/abort
 /// event counts reconcile with the metrics.
@@ -148,7 +183,7 @@ fn full_trace_carries_the_whole_lifecycle() {
     let report = cluster.run(RunSpec::millis(1, 8));
     cluster.quiesce();
     let log = cluster.take_trace();
-    assert_eq!(log.dropped, 0, "default ring must absorb this run");
+    assert_eq!(log.dropped, 0, "the default cap must absorb this run");
 
     let count = |tag: &str| log.events.iter().filter(|e| e.kind.tag() == tag).count() as u64;
     assert!(count("txn_begin") > 0);

@@ -232,7 +232,7 @@ mod tests {
     use chiller_common::{NodeId, RecordId, TableId, TxnId};
 
     fn sample_log() -> TraceLog {
-        let (mut t, mut sink) = Tracer::buffered(TraceMode::Full, 64);
+        let mut t = Tracer::new(TraceMode::Full, 64);
         let txn = TxnId::new(NodeId(2), 5);
         let rec = RecordId {
             table: TableId(1),
@@ -302,7 +302,7 @@ mod tests {
             },
         );
         let mut log = TraceLog::default();
-        sink.drain_into(&mut log);
+        t.drain_into(&mut log);
         log
     }
 

@@ -3,25 +3,18 @@
 //!
 //! Engines record three kinds of observation — the version a committed
 //! transaction *read* for each record, the version each of its writes
-//! *installed*, and the commit itself — into a per-engine lock-free SPSC
-//! ring, exactly like the lifecycle [`crate::Tracer`]: pushes are
-//! wait-free and never stall an engine; a full ring counts drops instead
-//! of blocking. The control plane drains every ring at phase boundaries
-//! into a [`History`], which `chiller-checker` assembles into committed
-//! transactions and checks for dependency cycles.
+//! *installed*, and the commit itself — into a plain per-engine `Vec`.
+//! The cluster drains every engine's log into a [`History`] while the
+//! runtime is paused, and `chiller-checker` assembles it into committed
+//! transactions and checks them for dependency cycles. There is no cap:
+//! the accumulated history is O(history) anyway, so a per-engine cap
+//! could only turn a verdict incomplete, never save memory.
 //!
 //! Aborted attempts need no filtering at record time: every attempt runs
 //! under a fresh `TxnId`, so observations from attempts that never emit a
 //! [`HistoryEventKind::Commit`] simply drop out at assembly.
 
 use chiller_common::{NodeId, RecordId, TxnId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Default per-engine history ring capacity (events). Override with
-/// `CHILLER_CHECK_BUF`. Overflow never blocks the engine: excess events
-/// are counted as dropped and reported on the [`History`].
-pub const DEFAULT_HISTORY_BUF: usize = 1 << 16;
 
 /// One recorded observation. `ts` is nanoseconds on the owning runtime's
 /// clock (virtual time on the simulator, monotonic wall time otherwise);
@@ -78,84 +71,45 @@ impl HistoryEventKind {
     }
 }
 
-/// Per-engine observation producer. Owned by the engine actor so it moves
-/// with the actor between phases and threads; pushes are wait-free
-/// (Lamport SPSC) and never block — a full ring counts the event as
-/// dropped.
+/// Per-engine observation log. Owned by the engine actor so it moves with
+/// the actor between phases and threads; the cluster drains it while the
+/// runtime is paused.
+#[derive(Debug)]
 pub struct HistoryRecorder {
-    tx: Option<ringq::spsc::Producer<HistoryEvent>>,
-    dropped: Option<Arc<AtomicU64>>,
-}
-
-impl std::fmt::Debug for HistoryRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistoryRecorder")
-            .field("enabled", &self.tx.is_some())
-            .finish()
-    }
+    enabled: bool,
+    events: Vec<HistoryEvent>,
 }
 
 impl HistoryRecorder {
-    /// A recorder that records nothing (checking off: no ring is allocated,
-    /// every record call is a branch on a `None`).
-    pub fn disabled() -> HistoryRecorder {
+    /// A recorder that buffers observations iff `enabled` (checking on).
+    /// Disabled, it allocates nothing and every record call is a branch
+    /// on the flag.
+    pub fn new(enabled: bool) -> HistoryRecorder {
         HistoryRecorder {
-            tx: None,
-            dropped: None,
+            enabled,
+            events: Vec::new(),
         }
-    }
-
-    /// A recorder feeding a `capacity`-event ring, plus the sink the
-    /// control plane drains at phase boundaries.
-    pub fn buffered(capacity: usize) -> (HistoryRecorder, HistorySink) {
-        let (tx, rx) = ringq::spsc::bounded(capacity.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
-        (
-            HistoryRecorder {
-                tx: Some(tx),
-                dropped: Some(Arc::clone(&dropped)),
-            },
-            HistorySink { rx, dropped },
-        )
     }
 
     /// Whether observations are recorded at all. Hot paths gate the
     /// version lookup behind this so checking off costs one branch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.tx.is_some()
+        self.enabled
     }
 
-    /// Push one observation; never blocks. A full ring drops the event and
-    /// bumps the shared drop counter.
+    /// Buffer one observation (nothing when disabled).
     #[inline]
     pub fn record(&mut self, ts: u64, node: NodeId, kind: HistoryEventKind) {
-        if let Some(tx) = &mut self.tx {
-            if tx.push(HistoryEvent { ts, node, kind }).is_err() {
-                if let Some(d) = &self.dropped {
-                    d.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if self.enabled {
+            self.events.push(HistoryEvent { ts, node, kind });
         }
     }
-}
 
-/// Consumer half of one engine's history ring. The control plane drains
-/// all sinks into a [`History`] at phase boundaries (the engines are
-/// quiescent then, so drains race with nothing).
-pub struct HistorySink {
-    rx: ringq::spsc::Consumer<HistoryEvent>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl HistorySink {
-    /// Move every buffered observation into `history` and fold in the drop
-    /// count accumulated since the last drain.
+    /// Move every buffered observation into `history`. The buffer keeps
+    /// its capacity.
     pub fn drain_into(&mut self, history: &mut History) {
-        while let Some(ev) = self.rx.pop() {
-            history.events.push(ev);
-        }
-        history.dropped += self.dropped.swap(0, Ordering::Relaxed);
+        history.events.append(&mut self.events);
     }
 }
 
@@ -166,10 +120,6 @@ impl HistorySink {
 pub struct History {
     /// Drained observations.
     pub events: Vec<HistoryEvent>,
-    /// Observations lost to full rings. A nonzero count makes the history
-    /// incomplete: the checker reports it and callers should size
-    /// `CHILLER_CHECK_BUF` up rather than trust a partial verdict.
-    pub dropped: u64,
 }
 
 impl History {
@@ -199,14 +149,17 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_a_noop() {
-        let mut r = HistoryRecorder::disabled();
+        let mut r = HistoryRecorder::new(false);
         assert!(!r.enabled());
         r.record(1, NodeId(0), HistoryEventKind::Commit { txn: txn(0, 1) });
+        let mut h = History::default();
+        r.drain_into(&mut h);
+        assert!(h.is_empty());
     }
 
     #[test]
-    fn buffered_recorder_roundtrips_observations() {
-        let (mut r, mut sink) = HistoryRecorder::buffered(8);
+    fn recorder_roundtrips_observations() {
+        let mut r = HistoryRecorder::new(true);
         assert!(r.enabled());
         r.record(
             10,
@@ -228,25 +181,12 @@ mod tests {
         );
         r.record(30, NodeId(1), HistoryEventKind::Commit { txn: txn(1, 3) });
         let mut h = History::default();
-        sink.drain_into(&mut h);
+        r.drain_into(&mut h);
         assert_eq!(h.len(), 3);
-        assert_eq!(h.dropped, 0);
         assert_eq!(h.events[0].kind.txn(), txn(1, 3));
         assert_eq!(
             h.events[2].kind,
             HistoryEventKind::Commit { txn: txn(1, 3) }
         );
-    }
-
-    #[test]
-    fn full_ring_counts_drops_instead_of_blocking() {
-        let (mut r, mut sink) = HistoryRecorder::buffered(2);
-        for i in 0..5u64 {
-            r.record(i, NodeId(0), HistoryEventKind::Commit { txn: txn(0, i) });
-        }
-        let mut h = History::default();
-        sink.drain_into(&mut h);
-        assert_eq!(h.len() as u64 + h.dropped, 5);
-        assert!(h.dropped >= 1, "capacity-2 ring must have dropped");
     }
 }

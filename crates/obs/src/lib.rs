@@ -3,23 +3,23 @@
 //! Transaction-lifecycle tracing + runtime telemetry for the Chiller
 //! reproduction (DESIGN.md §13).
 //!
-//! Two independent facilities share this crate:
+//! Three independent facilities share this crate:
 //!
 //! * **Lifecycle tracing** ([`Tracer`] / [`TraceLog`]): per-transaction spans
 //!   (begin, lock acquire/release, remote hops, abort with a structured
-//!   reason, retry, commit) pushed into a per-engine lock-free SPSC ring
-//!   (the `ringq` shim) and drained by the control plane at quiescence.
-//!   Timestamps come from the owning runtime's `Clock`, so the simulated
-//!   backend traces in virtual time and stays byte-deterministic. Gated by
-//!   [`TraceMode`] (`CHILLER_TRACE` / `ClusterBuilder::trace`): when off, the
-//!   tracer is a `None` producer and every record call is a branch on a
-//!   local field — nothing is allocated and no ring exists.
+//!   reason, retry, commit) appended to a plain per-engine `Vec`, capped by
+//!   `CHILLER_TRACE_BUF` between drains, and moved into a [`TraceLog`] by
+//!   the cluster whenever the runtime is paused. Timestamps come from the
+//!   owning runtime's `Clock`, so the simulated backend traces in virtual
+//!   time and stays byte-deterministic. Gated by [`TraceMode`]
+//!   (`CHILLER_TRACE` / `ClusterBuilder::trace`): when off, every record
+//!   call is a branch on a local field and nothing is allocated.
 //! * **History recording** ([`HistoryRecorder`] / [`History`]): versioned
-//!   read/write observations plus commits, pushed through the same SPSC
-//!   ring discipline and drained into the input of the black-box
+//!   read/write observations plus commits, appended to an uncapped
+//!   per-engine `Vec`, drained the same way, and fed to the black-box
 //!   serializability checker (`chiller-checker`, DESIGN.md §14). Gated by
-//!   `CHILLER_CHECK` / `ClusterBuilder::check`: when off, no ring exists
-//!   and every record call is one branch.
+//!   `CHILLER_CHECK` / `ClusterBuilder::check`: when off, every record
+//!   call is one branch.
 //! * **Runtime telemetry** ([`RuntimeTelemetry`]): always-on counters for the
 //!   scheduler internals the wall-clock worker pool was previously
 //!   debugged blind on — batches drained, flush stalls, parked-queue depth
@@ -41,11 +41,8 @@ mod history;
 mod telemetry;
 mod trace;
 
-pub use history::{
-    History, HistoryEvent, HistoryEventKind, HistoryRecorder, HistorySink, DEFAULT_HISTORY_BUF,
-};
+pub use history::{History, HistoryEvent, HistoryEventKind, HistoryRecorder};
 pub use telemetry::RuntimeTelemetry;
 pub use trace::{
-    EventKind, TraceEvent, TraceLog, TraceMode, TraceSink, Tracer, DEFAULT_SAMPLE_INTERVAL,
-    DEFAULT_TRACE_BUF,
+    EventKind, TraceEvent, TraceLog, TraceMode, Tracer, DEFAULT_SAMPLE_INTERVAL, DEFAULT_TRACE_BUF,
 };

@@ -44,13 +44,9 @@ pub struct RuntimeTelemetry {
     /// Timer-wheel slop: actual fire time minus due time, ns, per fired
     /// timer. Empty on the simulator (virtual timers are exact).
     pub timer_slop: Histogram,
-    /// Trace events lost to full trace rings (0 unless tracing is on and
-    /// `CHILLER_TRACE_BUF` is undersized).
+    /// Trace events lost to full per-engine trace logs (0 unless tracing
+    /// is on and `CHILLER_TRACE_BUF` is undersized).
     pub trace_events_dropped: u64,
-    /// History observations lost to full checker rings (0 unless checking
-    /// is on and `CHILLER_CHECK_BUF` is undersized). Nonzero means every
-    /// verdict over the run's history is `incomplete`.
-    pub history_events_dropped: u64,
     /// WAL records appended (durable runs only).
     pub wal_records_appended: u64,
     /// WAL bytes appended, framing included (durable runs only).
@@ -61,11 +57,6 @@ pub struct RuntimeTelemetry {
     /// threads. The amortization headline: commit marks per group-commit
     /// point = commits / `wal_fsyncs`.
     pub wal_fsyncs: u64,
-    /// `sync_data` calls the WAL syncers made; at most `wal_fsyncs`, less
-    /// when requests arriving during a sync were covered by the next one.
-    /// Wall-clock dependent on every backend, the simulator included: two
-    /// runs with the same seed may report different values.
-    pub wal_sync_calls: u64,
 }
 
 impl RuntimeTelemetry {
@@ -88,19 +79,17 @@ impl RuntimeTelemetry {
         self.notifies += other.notifies;
         self.timer_slop.merge(&other.timer_slop);
         self.trace_events_dropped += other.trace_events_dropped;
-        self.history_events_dropped += other.history_events_dropped;
         self.wal_records_appended += other.wal_records_appended;
         self.wal_bytes_appended += other.wal_bytes_appended;
         self.wal_flushes += other.wal_flushes;
         self.wal_fsyncs += other.wal_fsyncs;
-        self.wal_sync_calls += other.wal_sync_calls;
     }
 
     /// `(name, value)` pairs for every plain counter/gauge, in render order.
     /// Names are Prometheus-style suffix-less stems; the report layer adds
     /// the `chiller_runtime_` prefix. The timer-slop histogram is rendered
     /// separately as quantile gauges.
-    pub fn counters(&self) -> [(&'static str, u64); 19] {
+    pub fn counters(&self) -> [(&'static str, u64); 18] {
         [
             ("batches_drained", self.batches_drained),
             ("flush_stalls", self.flush_stalls),
@@ -120,7 +109,6 @@ impl RuntimeTelemetry {
             ("wal_bytes_appended", self.wal_bytes_appended),
             ("wal_flushes", self.wal_flushes),
             ("wal_fsyncs", self.wal_fsyncs),
-            ("wal_sync_calls", self.wal_sync_calls),
         ]
     }
 }
@@ -173,19 +161,17 @@ mod tests {
             steal_batches: 13,
             notifies: 14,
             timer_slop: Histogram::new(),
-            // The drop counters are rendered separately (as degradation
-            // flags on the summary line), so they sit outside counters().
+            // The drop counter is rendered separately (as a degradation
+            // flag on the summary line), so it sits outside counters().
             trace_events_dropped: 100,
-            history_events_dropped: 101,
             wal_records_appended: 15,
             wal_bytes_appended: 16,
             wal_flushes: 17,
             wal_fsyncs: 18,
-            wal_sync_calls: 19,
         };
         let names: Vec<&str> = t.counters().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 18);
         let vals: Vec<u64> = t.counters().iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, (1..=19).collect::<Vec<u64>>());
+        assert_eq!(vals, (1..=18).collect::<Vec<u64>>());
     }
 }

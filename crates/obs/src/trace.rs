@@ -1,23 +1,21 @@
-//! Trace mode, event model, and the lock-free producer/drain pair.
+//! Trace mode, event model, and the per-engine event log.
 
 use chiller_common::metrics::AbortReason;
 use chiller_common::{NodeId, RecordId, TxnId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default sampling interval for `CHILLER_TRACE=sample`: one in every N
 /// transactions (by per-engine sequence number) is traced.
 pub const DEFAULT_SAMPLE_INTERVAL: u32 = 64;
 
-/// Default per-engine trace ring capacity (events). Override with
-/// `CHILLER_TRACE_BUF`. Overflow never blocks the engine: excess events are
-/// counted as dropped and reported on the [`TraceLog`].
+/// Default per-engine trace log cap (events buffered between drains).
+/// Override with `CHILLER_TRACE_BUF`. Overflow never blocks the engine:
+/// excess events are counted as dropped and reported on the [`TraceLog`].
 pub const DEFAULT_TRACE_BUF: usize = 1 << 16;
 
 /// How much of the transaction lifecycle to record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
-    /// No tracing: no rings exist, record calls are a single branch.
+    /// No tracing: nothing is buffered, record calls are a single branch.
     Off,
     /// Lifecycle events (begin/retry/abort/commit) for one in every `N`
     /// transactions, selected deterministically by per-engine sequence
@@ -56,12 +54,12 @@ impl TraceMode {
         }
     }
 
-    /// Trace ring capacity from `CHILLER_TRACE_BUF` (events per engine),
-    /// defaulting to [`DEFAULT_TRACE_BUF`].
+    /// Per-engine trace log cap from `CHILLER_TRACE_BUF` (events buffered
+    /// between drains), defaulting to [`DEFAULT_TRACE_BUF`].
     ///
     /// # Panics
-    /// On anything that is not a positive integer — a zero-capacity ring
-    /// would silently drop every event, which is indistinguishable from
+    /// On anything that is not a positive integer — a zero cap would
+    /// silently drop every event, which is indistinguishable from
     /// tracing being off (same loud-knob contract as `CHILLER_TRACE` and
     /// `CHILLER_WORKERS`).
     pub fn buf_from_env() -> usize {
@@ -230,106 +228,67 @@ impl EventKind {
     }
 }
 
-/// Per-engine event producer. Owned by the engine actor, so it moves with
-/// the actor between phases and threads; pushes are wait-free (Lamport SPSC)
-/// and never block — on a full ring the event is counted as dropped.
+/// Per-engine event log. Owned by the engine actor, so it moves with the
+/// actor between phases and threads; the cluster drains it into a
+/// [`TraceLog`] while the runtime is paused, when it has every engine to
+/// itself. Recording never blocks: past `cap` events buffered since the
+/// last drain, an event is counted as dropped instead.
+#[derive(Debug)]
 pub struct Tracer {
     mode: TraceMode,
-    tx: Option<ringq::spsc::Producer<TraceEvent>>,
-    dropped: Option<Arc<AtomicU64>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("mode", &self.mode)
-            .field("enabled", &self.tx.is_some())
-            .finish()
-    }
+    events: Vec<TraceEvent>,
+    cap: usize,
+    dropped: u64,
 }
 
 impl Tracer {
-    /// A tracer that records nothing (the `TraceMode::Off` fast path: no
-    /// ring is allocated, `record` is a branch on a `None`).
-    pub fn disabled() -> Tracer {
+    /// A tracer buffering at most `cap` events between drains. Under
+    /// `TraceMode::Off` it buffers nothing, whatever the cap, and every
+    /// record call is a branch on the mode.
+    pub fn new(mode: TraceMode, cap: usize) -> Tracer {
         Tracer {
-            mode: TraceMode::Off,
-            tx: None,
-            dropped: None,
+            mode,
+            events: Vec::new(),
+            cap: if mode.enabled() { cap } else { 0 },
+            dropped: 0,
         }
-    }
-
-    /// A tracer feeding a `capacity`-event ring, plus the sink the control
-    /// plane drains at quiescence.
-    pub fn buffered(mode: TraceMode, capacity: usize) -> (Tracer, TraceSink) {
-        if !mode.enabled() {
-            // Callers normally gate on the mode, but keep the invariant that
-            // Off never owns a ring even if they don't.
-            let (_, rx) = ringq::spsc::bounded::<TraceEvent>(1);
-            let dropped = Arc::new(AtomicU64::new(0));
-            return (Tracer::disabled(), TraceSink { rx, dropped });
-        }
-        let (tx, rx) = ringq::spsc::bounded(capacity.max(1));
-        let dropped = Arc::new(AtomicU64::new(0));
-        (
-            Tracer {
-                mode,
-                tx: Some(tx),
-                dropped: Some(Arc::clone(&dropped)),
-            },
-            TraceSink { rx, dropped },
-        )
     }
 
     /// Whether any recording is active.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.tx.is_some()
+        self.mode.enabled()
     }
 
     /// Whether lock spans and hops are recorded (Full mode only).
     #[inline]
     pub fn full(&self) -> bool {
-        self.tx.is_some() && matches!(self.mode, TraceMode::Full)
+        matches!(self.mode, TraceMode::Full)
     }
 
     /// Whether the transaction with this per-engine sequence number gets
     /// lifecycle events.
     #[inline]
     pub fn traces_txn(&self, seq: u64) -> bool {
-        self.tx.is_some() && self.mode.traces_txn(seq)
+        self.mode.traces_txn(seq)
     }
 
-    /// Push one event; never blocks. A full ring drops the event and bumps
-    /// the shared drop counter.
+    /// Buffer one event; never blocks. Past the cap the event is dropped
+    /// and counted.
     #[inline]
     pub fn record(&mut self, ts: u64, node: NodeId, kind: EventKind) {
-        if let Some(tx) = &mut self.tx {
-            if tx.push(TraceEvent { ts, node, kind }).is_err() {
-                if let Some(d) = &self.dropped {
-                    d.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if self.events.len() < self.cap {
+            self.events.push(TraceEvent { ts, node, kind });
+        } else if self.enabled() {
+            self.dropped += 1;
         }
     }
-}
 
-/// Consumer half of one engine's trace ring. The control plane drains all
-/// sinks into a [`TraceLog`] at phase boundaries (the engines are quiescent
-/// then, so drains race with nothing).
-pub struct TraceSink {
-    rx: ringq::spsc::Consumer<TraceEvent>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl TraceSink {
-    /// Move every buffered event into `log` and fold in the drop count
-    /// accumulated since the last drain.
+    /// Move every buffered event into `log` and fold in the drops counted
+    /// since the last drain. The buffer keeps its capacity.
     pub fn drain_into(&mut self, log: &mut TraceLog) {
-        while let Some(ev) = self.rx.pop() {
-            log.events.push(ev);
-        }
-        log.dropped += self.dropped.swap(0, Ordering::Relaxed);
+        log.events.append(&mut self.events);
+        log.dropped += std::mem::take(&mut self.dropped);
     }
 }
 
@@ -339,7 +298,8 @@ impl TraceSink {
 pub struct TraceLog {
     /// Drained events.
     pub events: Vec<TraceEvent>,
-    /// Events lost to full rings (size with `CHILLER_TRACE_BUF` if nonzero).
+    /// Events lost to full per-engine logs (raise `CHILLER_TRACE_BUF` if
+    /// nonzero).
     pub dropped: u64,
 }
 
@@ -384,10 +344,10 @@ mod tests {
 
     #[test]
     fn off_tracer_records_nothing() {
-        let mut t = Tracer::disabled();
+        let mut t = Tracer::new(TraceMode::Off, 8);
         assert!(!t.enabled());
         assert!(!t.traces_txn(0));
-        // Must be a no-op, not a panic.
+        // Must be a no-op, not a panic, and not a drop either.
         t.record(
             1,
             NodeId(0),
@@ -397,11 +357,14 @@ mod tests {
                 attempt: 1,
             },
         );
+        let mut log = TraceLog::default();
+        t.drain_into(&mut log);
+        assert_eq!((log.len(), log.dropped), (0, 0));
     }
 
     #[test]
-    fn buffered_tracer_roundtrips_events() {
-        let (mut t, mut sink) = Tracer::buffered(TraceMode::Full, 8);
+    fn tracer_roundtrips_events() {
+        let mut t = Tracer::new(TraceMode::Full, 8);
         assert!(t.full());
         assert!(t.traces_txn(7));
         t.record(
@@ -423,7 +386,7 @@ mod tests {
             },
         );
         let mut log = TraceLog::default();
-        sink.drain_into(&mut log);
+        t.drain_into(&mut log);
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped, 0);
         assert_eq!(log.events[0].ts, 10);
@@ -432,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_counts_drops_instead_of_blocking() {
-        let (mut t, mut sink) = Tracer::buffered(TraceMode::Full, 2);
-        for i in 0..5u64 {
+    fn full_log_counts_drops_instead_of_growing() {
+        let mut t = Tracer::new(TraceMode::Full, 2);
+        let lock = |t: &mut Tracer, i: u64| {
             t.record(
                 i,
                 NodeId(0),
@@ -446,12 +409,21 @@ mod tests {
                     },
                     hot: false,
                 },
-            );
+            )
+        };
+        for i in 0..5u64 {
+            lock(&mut t, i);
         }
         let mut log = TraceLog::default();
-        sink.drain_into(&mut log);
-        assert_eq!(log.len() as u64 + log.dropped, 5);
-        assert!(log.dropped >= 1, "capacity-2 ring must have dropped");
+        t.drain_into(&mut log);
+        assert_eq!(log.len(), 2, "the cap bounds what is buffered");
+        assert_eq!(log.dropped, 3, "everything past the cap is counted");
+        assert_eq!(log.events[1].ts, 1, "the first events are kept");
+        // A drain empties the log and resets the count: the cap is per
+        // drain interval, not per run.
+        lock(&mut t, 5);
+        t.drain_into(&mut log);
+        assert_eq!((log.len(), log.dropped), (3, 3));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Offline stand-in for crossbeam-style lock-free bounded queues.
 //!
-//! The build environment cannot fetch crates.io, so this crate vendors the
-//! two fixed-capacity lock-free rings the threaded backend's mailboxes are
-//! built on (see `chiller-simnet::threaded` and DESIGN.md §11):
+//! The build environment cannot fetch crates.io, so this crate vendors two
+//! fixed-capacity lock-free rings. The MPSC ring is the mailbox of the
+//! wall-clock runtime (`chiller_simnet::AsyncRuntime`, DESIGN.md §11):
 //!
 //! * [`mpsc`] — a multi-producer single-consumer bounded ring using the
 //!   Vyukov / crossbeam-`ArrayQueue` *sequence-slot* protocol: every slot
@@ -13,8 +13,8 @@
 //!   ticket order* — exactly the cross-producer arrival ordering a
 //!   `std::sync::mpsc` channel provides, without its mutex.
 //! * [`spsc`] — a single-producer single-consumer Lamport ring: two
-//!   indices, no CAS at all. The cheaper fast path for links the topology
-//!   makes single-producer.
+//!   indices, no CAS at all. Nothing in the workspace uses it; it stays
+//!   only for the benchmark's `ringq.spsc_push_pop_ns` probe.
 //!
 //! Both hand out owned `Producer`/`Consumer` endpoints so the
 //! single-consumer (and, for SPSC, single-producer) contracts are enforced

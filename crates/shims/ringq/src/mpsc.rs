@@ -28,8 +28,8 @@
 //! ring is empty or the producer holding ticket `head` has claimed but
 //! not yet published — and because tickets are consumed **in order**, the
 //! consumer waits for that ticket rather than skipping ahead. That stall
-//! is what makes pop order equal global ticket order, the property the
-//! threaded mailboxes need (DESIGN.md §11).
+//! is what makes pop order equal global ticket order, the property
+//! `AsyncRuntime`'s mailboxes need (DESIGN.md §11).
 //!
 //! # Memory ordering
 //!
@@ -393,8 +393,8 @@ mod tests {
 
     /// Ticket order is arrival order across producers: when producer B's
     /// push starts after producer A's push returned, B's value pops after
-    /// A's. (This is the property the threaded mailbox needs in place of
-    /// the channel's cross-sender FIFO.)
+    /// A's. (This is the cross-sender FIFO `AsyncRuntime`'s mailboxes
+    /// need.)
     #[test]
     fn cross_producer_arrival_order_is_pop_order() {
         let (tx, mut rx) = bounded::<u32>(16);

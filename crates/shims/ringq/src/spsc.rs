@@ -5,9 +5,13 @@
 //! Both contracts are enforced by ownership: [`Producer`] is not `Clone`
 //! and [`Producer::push`] / [`Consumer::pop`] take `&mut self`, so a
 //! second concurrent producer (or consumer) cannot be expressed safely.
-//! This is the fast path for mailboxes the topology makes single-producer
-//! (see `chiller-simnet::threaded`): versus the MPSC ring it saves the
-//! claim CAS and the per-slot sequence word.
+//! Versus the MPSC ring it saves the claim CAS and the per-slot sequence
+//! word.
+//!
+//! No workspace crate uses this ring any more: `AsyncRuntime`'s mailboxes
+//! are all [`crate::mpsc`], and the trace and history logs are plain
+//! per-engine `Vec`s. Its only reader is the `ringq.spsc_push_pop_ns`
+//! probe in `benchmark/`; once that probe goes, this module can too.
 //!
 //! # Memory ordering
 //!

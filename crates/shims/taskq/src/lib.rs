@@ -13,9 +13,8 @@
 //!   the ready queue **at most once** while making missed wakeups
 //!   impossible: work that arrives while the task runs marks it DIRTY,
 //!   and the runner re-enqueues it on finish.
-//! * [`Parker`] — a publish-then-recheck park/unpark slot (the same
-//!   handshake the threaded backend's per-node parker uses), for workers
-//!   with an empty queue.
+//! * [`Parker`] — a publish-then-recheck park/unpark slot, one per
+//!   `AsyncRuntime` worker, for workers with an empty queue.
 //!
 //! Everything here is task-agnostic: a "task" is a bare `usize` id. The
 //! async runtime in `chiller-simnet` maps ids to engine slots.

@@ -156,8 +156,7 @@ fn async_backend_survives_repeated_run_windows() {
     assert_serializability_invariants(&cluster, &cfg, "chiller windows (async)");
 }
 
-/// The serializability checker on the async backend, two seeds (the
-/// name is historical: the seeds once ran on two mailbox kinds). Engines
+/// The serializability checker on the async backend, two seeds. Engines
 /// run on real threads against a wall clock, so the recorded history
 /// exercises genuinely concurrent interleavings (not the simulator's
 /// serial event loop). Every protocol's history must still certify
@@ -165,7 +164,7 @@ fn async_backend_survives_repeated_run_windows() {
 /// surfaces here as a dependency cycle even when the balance sum happens
 /// to survive.
 #[test]
-fn checker_certifies_async_runs_on_both_mailboxes() {
+fn checker_certifies_async_runs() {
     for seed in [11u64, 31] {
         for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
             let cfg = contended_config();

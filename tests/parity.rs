@@ -23,6 +23,9 @@ use chiller_workload::transfer::{
 
 const NODES: usize = 4;
 
+/// Length of the checker's single long phase, in simulated milliseconds.
+const LONG_PHASE_MS: u64 = 50;
+
 fn contended_config() -> TransferConfig {
     TransferConfig {
         accounts: 400,
@@ -239,41 +242,70 @@ fn checked_cluster(protocol: Protocol, seed: u64, trace: TraceMode, check: Check
 /// balance-conservation witness: conservation catches lost money, the
 /// checker catches any dependency cycle (including write skew, which a
 /// sum invariant can never see).
+///
+/// The last input is one long phase (no warm-up, so nothing is drained
+/// until it ends) that records more than 65 536 observations on one
+/// engine: per-engine history logs have no cap, so the verdict must still
+/// be complete.
 #[test]
 fn checker_certifies_every_protocol_on_green_runs() {
+    let mut cases: Vec<(Protocol, CheckMode, RunSpec)> = Vec::new();
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         for check in [CheckMode::Full, CheckMode::Window(64)] {
-            let mut cluster = checked_cluster(protocol, 11, TraceMode::Off, check);
-            let report = cluster.run(RunSpec::millis(1, 8));
-            assert!(
-                report.total_commits() > 100,
-                "{protocol}: too few commits to certify — {}",
-                report.summary()
-            );
-            cluster.quiesce();
-            assert_serializability_invariants(&cluster, &contended_config(), &protocol.to_string());
-            let check_report = cluster.check_history();
-            assert!(
-                check_report.is_complete(),
-                "{protocol} ({check:?}): recording ring overflowed — raise the buffer"
-            );
-            assert!(
-                check_report.txns as u64 > 100,
-                "{protocol} ({check:?}): checker saw almost no transactions — \
-                 the recording hooks are not firing ({})",
-                check_report.summary()
-            );
-            assert!(
-                check_report.ok(),
-                "{protocol} ({check:?}): serializability violations on a green run:\n{}",
-                check_report
-                    .violations
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n")
+            cases.push((protocol, check, RunSpec::millis(1, 8)));
+        }
+    }
+    let long_phase = RunSpec::millis(0, LONG_PHASE_MS);
+    cases.push((Protocol::Chiller, CheckMode::Full, long_phase));
+    for (protocol, check, spec) in cases {
+        let mut cluster = checked_cluster(protocol, 11, TraceMode::Off, check);
+        let report = cluster.run(spec);
+        assert!(
+            report.total_commits() > 100,
+            "{protocol}: too few commits to certify — {}",
+            report.summary()
+        );
+        let mut history = cluster.take_history();
+        let mut per_engine = vec![0usize; NODES];
+        for ev in &history.events {
+            per_engine[ev.node.0 as usize] += 1;
+        }
+        let single_phase = spec.warmup == Duration::ZERO;
+        if single_phase {
+            println!(
+                "{protocol} ({check:?}): one {LONG_PHASE_MS} ms phase recorded \
+                 {per_engine:?} observations per engine"
             );
         }
+        cluster.quiesce();
+        assert_serializability_invariants(&cluster, &contended_config(), &protocol.to_string());
+        history.events.append(&mut cluster.take_history().events);
+        let check_report = chiller_checker::check_history(&history, check);
+        assert!(
+            check_report.is_complete(),
+            "{protocol} ({check:?}): history incomplete — {}",
+            check_report.summary()
+        );
+        assert!(
+            check_report.txns as u64 > 100,
+            "{protocol} ({check:?}): checker saw almost no transactions — \
+             the recording hooks are not firing ({})",
+            check_report.summary()
+        );
+        assert!(
+            check_report.ok(),
+            "{protocol} ({check:?}): serializability violations on a green run:\n{}",
+            check_report
+                .violations
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+        assert!(
+            !single_phase || per_engine.iter().any(|&n| n > 65_536),
+            "the long phase must outgrow a 65 536-event log on one engine: {per_engine:?}"
+        );
     }
 }
 

@@ -31,7 +31,8 @@ fn run_traced(backend: Backend) -> (RunReport, TraceLog) {
     let mut cluster = b.build().unwrap();
     // No warm-up (a warm-up reset would discard the begin events of spans
     // straddling the boundary), and short windows: every `run_more` drains
-    // the trace rings, so a fast host cannot overflow them mid-run.
+    // the per-engine trace logs, so a fast host cannot fill them past their
+    // cap mid-run.
     let mut report = cluster.run(RunSpec::millis(0, 15));
     for _ in 0..7 {
         report = cluster.run_more(Duration::from_millis(15));
@@ -49,7 +50,7 @@ fn count(log: &TraceLog, tag: &str) -> usize {
 fn assert_chrome_trace_parses(backend: Backend, report: &RunReport, log: &TraceLog) {
     assert_eq!(
         log.dropped, 0,
-        "{backend}: rings overflowed despite per-window drains"
+        "{backend}: trace logs hit their cap despite per-window drains"
     );
     assert!(
         count(log, "txn_begin") > 0 && count(log, "txn_commit") > 0,
