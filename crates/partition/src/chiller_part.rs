@@ -10,10 +10,10 @@
 //! is acceptable because distributed transactions are cheap on fast networks
 //! — contention is what matters.
 
-use crate::graph::{LoadMetric, StarGraph};
-use crate::likelihood::ContentionModel;
+use crate::graph::{star_vertex_weights, LoadMetric, StarGraph, TraceIndex};
+use crate::likelihood::{hottest_first, ContentionModel};
 use crate::metis::{MetisLike, PartitionResult};
-use crate::stats::{StatsCollector, TxnTrace, WorkloadTrace};
+use crate::stats::{TxnTrace, WorkloadTrace};
 use chiller_common::ids::{PartitionId, RecordId};
 use chiller_storage::placement::{HashPlacement, LookupTable, Placement};
 use std::collections::HashMap;
@@ -48,36 +48,39 @@ impl ChillerPartitioner {
     }
 
     /// Run the pipeline over a trace.
+    ///
+    /// Per-record statistics, likelihoods and loads live in arrays indexed
+    /// by r-vertex, built in the same pass that numbers the records.
     pub fn partition(&self, trace: &WorkloadTrace) -> ChillerPartitioning {
-        let mut collector = StatsCollector::new();
-        collector.observe_all(trace);
-
-        let likelihoods: HashMap<RecordId, f64> =
-            self.model.all_likelihoods(&collector).into_iter().collect();
-        let accesses: HashMap<RecordId, f64> = collector
-            .records()
-            .map(|(r, s)| (*r, s.reads + s.writes))
+        let index = TraceIndex::new(&trace.txns);
+        let likelihood: Vec<f64> = index
+            .stats
+            .iter()
+            .map(|&s| self.model.likelihood(s))
             .collect();
-
-        let star = StarGraph::build(
-            &trace.txns,
-            |r| likelihoods.get(&r).copied().unwrap_or(0.0),
-            |r| accesses.get(&r).copied().unwrap_or(0.0),
-            self.load_metric,
-            self.min_edge_weight,
-        );
+        let edge_weight: Vec<f64> = likelihood
+            .iter()
+            .map(|p| p + self.min_edge_weight)
+            .collect();
+        let vwgt = star_vertex_weights(&index, self.load_metric, |v| index.accesses(v));
+        let star = StarGraph::assemble(index, &edge_weight, vwgt);
 
         let result = MetisLike::new(self.k, self.epsilon, self.seed).partition(&star.graph);
 
-        // Keep assignments only for hot records.
-        let mut hot_assignments = HashMap::new();
-        let mut hot_likelihoods = Vec::new();
-        for (r, p) in self.model.hot_records(&collector, self.hot_threshold) {
-            if let Some(&v) = star.record_vertex.get(&r) {
-                hot_assignments.insert(r, PartitionId(result.assignment[v as usize]));
-                hot_likelihoods.push((r, p));
-            }
-        }
+        // Keep assignments only for hot records, hottest first (the order
+        // of `ContentionModel::hot_records`).
+        let mut hot: Vec<((RecordId, f64), usize)> = likelihood
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p >= self.hot_threshold)
+            .map(|(v, &p)| ((star.records[v], p), v))
+            .collect();
+        hot.sort_by(|a, b| hottest_first(&a.0, &b.0));
+        let hot_assignments = hot
+            .iter()
+            .map(|&((r, _), v)| (r, PartitionId(result.assignment[v])))
+            .collect();
+        let hot_likelihoods = hot.into_iter().map(|(hot, _)| hot).collect();
 
         // Inner-host preference per traced transaction: the partition of
         // its t-vertex (diagnostics; the run-time decision recomputes this

@@ -9,6 +9,7 @@
 //!
 //! The Schism-style **clique graph** is also provided as the baseline.
 
+use crate::stats::{RecordStats, TxnTrace};
 use chiller_common::ids::RecordId;
 use std::collections::HashMap;
 
@@ -43,7 +44,9 @@ impl Graph {
         (self.vwgt.len() - 1) as u32
     }
 
-    /// Add (or accumulate onto an existing) undirected edge.
+    /// Add (or accumulate onto an existing) undirected edge. Each call
+    /// searches `u`'s adjacency list, so it costs O(degree): building a
+    /// large graph edge by edge through it is quadratic in the degree.
     pub fn add_edge(&mut self, u: u32, v: u32, w: f64) {
         debug_assert_ne!(u, v, "self loops are meaningless here");
         match self.adj[u as usize].iter_mut().find(|(n, _)| *n == v) {
@@ -93,6 +96,77 @@ pub enum LoadMetric {
     Accesses,
 }
 
+/// A trace's records as r-vertex ids, shared by both graph builders.
+///
+/// Records are numbered in first-access order (within a transaction,
+/// writes before reads). Each record is hashed once per access, here;
+/// everything downstream indexes dense per-vertex arrays.
+pub(crate) struct TraceIndex {
+    pub(crate) record_vertex: HashMap<RecordId, u32>,
+    pub(crate) records: Vec<RecordId>,
+    /// Read and write counts of each r-vertex.
+    pub(crate) stats: Vec<RecordStats>,
+    /// Transaction `i`'s distinct r-vertices, in `RecordId` order, are
+    /// `vertices[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    vertices: Vec<u32>,
+}
+
+impl TraceIndex {
+    pub(crate) fn new(txns: &[TxnTrace]) -> TraceIndex {
+        let mut index = TraceIndex {
+            record_vertex: HashMap::new(),
+            records: Vec::new(),
+            stats: Vec::new(),
+            start: Vec::with_capacity(txns.len() + 1),
+            vertices: Vec::new(),
+        };
+        index.start.push(0);
+        let mut distinct: Vec<(RecordId, u32)> = Vec::new();
+        for t in txns {
+            distinct.clear();
+            let writes = t.writes.iter().map(|&r| (r, true));
+            for (r, write) in writes.chain(t.reads.iter().map(|&r| (r, false))) {
+                let v = *index.record_vertex.entry(r).or_insert_with(|| {
+                    index.records.push(r);
+                    index.stats.push(RecordStats::default());
+                    (index.records.len() - 1) as u32
+                });
+                let stats = &mut index.stats[v as usize];
+                if write {
+                    stats.writes += 1.0;
+                } else {
+                    stats.reads += 1.0;
+                }
+                distinct.push((r, v));
+            }
+            distinct.sort_unstable();
+            distinct.dedup();
+            index.vertices.extend(distinct.iter().map(|&(_, v)| v));
+            index.start.push(index.vertices.len());
+        }
+        index
+    }
+
+    pub(crate) fn num_records(&self) -> usize {
+        self.records.len()
+    }
+
+    pub(crate) fn num_txns(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Transaction `i`'s distinct r-vertices, in `RecordId` order.
+    pub(crate) fn txn(&self, i: usize) -> &[u32] {
+        &self.vertices[self.start[i]..self.start[i + 1]]
+    }
+
+    /// Reads + writes of r-vertex `v`, the `Accesses` load.
+    pub(crate) fn accesses(&self, v: usize) -> f64 {
+        self.stats[v].reads + self.stats[v].writes
+    }
+}
+
 /// Chiller's star representation plus the bookkeeping to map the
 /// partitioner's output back to records and transactions.
 #[derive(Debug, Clone)]
@@ -119,53 +193,51 @@ impl StarGraph {
     ///   secondary objective.
     /// * `accesses(record)` — reads+writes, for the `Accesses` load metric.
     pub fn build(
-        txns: &[crate::stats::TxnTrace],
+        txns: &[TxnTrace],
         likelihood: impl Fn(RecordId) -> f64,
         accesses: impl Fn(RecordId) -> f64,
         metric: LoadMetric,
         min_edge_weight: f64,
     ) -> StarGraph {
-        let mut record_vertex: HashMap<RecordId, u32> = HashMap::new();
-        let mut records: Vec<RecordId> = Vec::new();
-        for t in txns {
-            for r in t.records() {
-                record_vertex.entry(r).or_insert_with(|| {
-                    records.push(r);
-                    (records.len() - 1) as u32
-                });
-            }
-        }
-        let nr = records.len();
-        let nt = txns.len();
-        let mut graph = Graph::with_vertices(nr + nt);
+        let index = TraceIndex::new(txns);
+        let edge_weight: Vec<f64> = index
+            .records
+            .iter()
+            .map(|&r| likelihood(r) + min_edge_weight)
+            .collect();
+        let vwgt = star_vertex_weights(&index, metric, |v| accesses(index.records[v]));
+        StarGraph::assemble(index, &edge_weight, vwgt)
+    }
 
-        for (i, &r) in records.iter().enumerate() {
-            graph.vwgt[i] = match metric {
-                LoadMetric::Transactions => 0.0,
-                LoadMetric::Records => 1.0,
-                LoadMetric::Accesses => accesses(r),
-            };
+    /// The star over an indexed trace: every edge of r-vertex `v` weighs
+    /// `edge_weight[v]`, and `vwgt` covers the r- then the t-vertices.
+    /// Every (record, transaction) pair is distinct, so edges are pushed
+    /// into adjacency lists sized up front, never searched for.
+    pub(crate) fn assemble(index: TraceIndex, edge_weight: &[f64], vwgt: Vec<f64>) -> StarGraph {
+        let nr = index.num_records();
+        let nt = index.num_txns();
+        let mut degree = vec![0usize; nr];
+        for &rv in &index.vertices {
+            degree[rv as usize] += 1;
         }
-        for t in 0..nt {
-            graph.vwgt[nr + t] = match metric {
-                LoadMetric::Transactions => 1.0,
-                _ => 0.0,
-            };
-        }
-
-        for (ti, txn) in txns.iter().enumerate() {
+        let mut adj: Vec<Vec<(u32, f64)>> = Vec::with_capacity(nr + nt);
+        adj.extend(degree.iter().map(|&d| Vec::with_capacity(d)));
+        for ti in 0..nt {
             let tv = (nr + ti) as u32;
-            for r in txn.distinct_records() {
-                let rv = record_vertex[&r];
-                let w = likelihood(r) + min_edge_weight;
-                graph.add_edge(rv, tv, w);
+            let nbrs = index.txn(ti);
+            for &rv in nbrs {
+                adj[rv as usize].push((tv, edge_weight[rv as usize]));
             }
+            adj.push(
+                nbrs.iter()
+                    .map(|&rv| (rv, edge_weight[rv as usize]))
+                    .collect(),
+            );
         }
-
         StarGraph {
-            graph,
-            record_vertex,
-            records,
+            graph: Graph { vwgt, adj },
+            record_vertex: index.record_vertex,
+            records: index.records,
             t_base: nr as u32,
             num_txns: nt,
         }
@@ -176,47 +248,111 @@ impl StarGraph {
     }
 }
 
+/// Star vertex weights under `metric`: r-vertices, then t-vertices.
+/// `accesses(v)` is r-vertex `v`'s reads+writes.
+pub(crate) fn star_vertex_weights(
+    index: &TraceIndex,
+    metric: LoadMetric,
+    accesses: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    let (nr, nt) = (index.num_records(), index.num_txns());
+    let mut vwgt = Vec::with_capacity(nr + nt);
+    vwgt.extend((0..nr).map(|v| match metric {
+        LoadMetric::Transactions => 0.0,
+        LoadMetric::Records => 1.0,
+        LoadMetric::Accesses => accesses(v),
+    }));
+    let t_weight = match metric {
+        LoadMetric::Transactions => 1.0,
+        _ => 0.0,
+    };
+    vwgt.resize(nr + nt, t_weight);
+    vwgt
+}
+
 /// Schism-style clique co-access graph: r-vertices only; every co-accessed
 /// pair gets an edge weighted by co-access frequency.
 pub fn build_clique_graph(
-    txns: &[crate::stats::TxnTrace],
+    txns: &[TxnTrace],
     accesses: impl Fn(RecordId) -> f64,
     metric: LoadMetric,
 ) -> (Graph, HashMap<RecordId, u32>, Vec<RecordId>) {
-    let mut record_vertex: HashMap<RecordId, u32> = HashMap::new();
-    let mut records: Vec<RecordId> = Vec::new();
-    for t in txns {
-        for r in t.records() {
-            record_vertex.entry(r).or_insert_with(|| {
-                records.push(r);
-                (records.len() - 1) as u32
-            });
-        }
-    }
-    let mut graph = Graph::with_vertices(records.len());
-    for (i, &r) in records.iter().enumerate() {
-        graph.vwgt[i] = match metric {
+    let index = TraceIndex::new(txns);
+    let graph = clique_graph(&index, metric, |v| accesses(index.records[v]));
+    (graph, index.record_vertex, index.records)
+}
+
+/// The clique graph over an indexed trace; `accesses(v)` is r-vertex
+/// `v`'s reads+writes.
+///
+/// Each adjacency list holds its neighbors in the order their pair was
+/// first co-accessed, and each weight counts co-accesses: what one
+/// `Graph::add_edge` per pair builds, without its linear searches. Every
+/// directed pair occurrence is bucketed by its source with a stable
+/// counting sort, then each bucket is deduplicated through a dense slot
+/// table.
+pub(crate) fn clique_graph(
+    index: &TraceIndex,
+    metric: LoadMetric,
+    accesses: impl Fn(usize) -> f64,
+) -> Graph {
+    let n = index.num_records();
+    let vwgt = (0..n)
+        .map(|v| match metric {
             // Transactions isn't representable without t-vertices; Schism
             // balances records or accesses.
             LoadMetric::Transactions | LoadMetric::Records => 1.0,
-            LoadMetric::Accesses => accesses(r),
-        };
+            LoadMetric::Accesses => accesses(v),
+        })
+        .collect();
+
+    let mut start = vec![0usize; n + 1];
+    for t in 0..index.num_txns() {
+        let rs = index.txn(t);
+        for &v in rs {
+            start[v as usize + 1] += rs.len() - 1;
+        }
     }
-    for txn in txns {
-        let rs = txn.distinct_records();
-        for i in 0..rs.len() {
-            for j in (i + 1)..rs.len() {
-                graph.add_edge(record_vertex[&rs[i]], record_vertex[&rs[j]], 1.0);
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut occurrences = vec![0u32; start[n]];
+    for t in 0..index.num_txns() {
+        let rs = index.txn(t);
+        for (i, &a) in rs.iter().enumerate() {
+            for &b in &rs[i + 1..] {
+                occurrences[fill[a as usize]] = b;
+                fill[a as usize] += 1;
+                occurrences[fill[b as usize]] = a;
+                fill[b as usize] += 1;
             }
         }
     }
-    (graph, record_vertex, records)
+
+    const NONE: u32 = u32::MAX;
+    let mut owner = vec![NONE; n];
+    let mut slot = vec![0u32; n];
+    let mut adj: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
+    for u in 0..n {
+        let mut nbrs: Vec<(u32, f64)> = Vec::new();
+        for &v in &occurrences[start[u]..start[u + 1]] {
+            if owner[v as usize] == u as u32 {
+                nbrs[slot[v as usize] as usize].1 += 1.0;
+            } else {
+                owner[v as usize] = u as u32;
+                slot[v as usize] = nbrs.len() as u32;
+                nbrs.push((v, 1.0));
+            }
+        }
+        adj.push(nbrs);
+    }
+    Graph { vwgt, adj }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::TxnTrace;
     use chiller_common::ids::TableId;
 
     fn rid(k: u64) -> RecordId {
@@ -311,6 +447,72 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(w12, 2.0);
+    }
+
+    /// The builders as they were: a hash lookup and one `add_edge` per
+    /// edge. Kept as the reference the dense builders must match.
+    fn reference_graphs(txns: &[TxnTrace], likelihood: impl Fn(RecordId) -> f64) -> (Graph, Graph) {
+        let mut record_vertex: HashMap<RecordId, u32> = HashMap::new();
+        let mut records: Vec<RecordId> = Vec::new();
+        for t in txns {
+            for r in t.records() {
+                record_vertex.entry(r).or_insert_with(|| {
+                    records.push(r);
+                    (records.len() - 1) as u32
+                });
+            }
+        }
+        let nr = records.len();
+        let mut star = Graph::with_vertices(nr + txns.len());
+        let mut clique = Graph::with_vertices(nr);
+        for (ti, txn) in txns.iter().enumerate() {
+            let rs = txn.distinct_records();
+            for &r in &rs {
+                star.add_edge(record_vertex[&r], (nr + ti) as u32, likelihood(r) + 1e-4);
+            }
+            for i in 0..rs.len() {
+                for j in (i + 1)..rs.len() {
+                    clique.add_edge(record_vertex[&rs[i]], record_vertex[&rs[j]], 1.0);
+                }
+            }
+        }
+        (star, clique)
+    }
+
+    fn edge_bits(g: &Graph) -> Vec<Vec<(u32, u64)>> {
+        g.adj
+            .iter()
+            .map(|nbrs| nbrs.iter().map(|&(u, w)| (u, w.to_bits())).collect())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Same adjacency order and same weight bits as the `add_edge`
+        /// builders, on traces with repeated and read-written records.
+        #[test]
+        fn builders_match_add_edge_reference(
+            txns in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u64..40, 0..6),
+                    proptest::collection::vec(0u64..40, 0..6),
+                ),
+                0..80,
+            ),
+        ) {
+            let ids = |keys: Vec<u64>| keys.into_iter().map(rid).collect();
+            let txns: Vec<TxnTrace> = txns
+                .into_iter()
+                .map(|(reads, writes)| TxnTrace::new(ids(reads), ids(writes)))
+                .collect();
+            let likelihood = |r: RecordId| (r.key % 7) as f64 / 9.0;
+            let (star_ref, clique_ref) = reference_graphs(&txns, likelihood);
+            let star = StarGraph::build(&txns, likelihood, |_| 1.0, LoadMetric::Records, 1e-4);
+            let (clique, _, _) = build_clique_graph(&txns, |_| 1.0, LoadMetric::Records);
+            proptest::prop_assert_eq!(edge_bits(&star.graph), edge_bits(&star_ref));
+            proptest::prop_assert_eq!(edge_bits(&clique), edge_bits(&clique_ref));
+        }
     }
 
     #[test]

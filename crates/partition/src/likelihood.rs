@@ -72,9 +72,14 @@ impl ContentionModel {
             .into_iter()
             .filter(|(_, p)| *p >= threshold)
             .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        v.sort_by(hottest_first);
         v
     }
+}
+
+/// The hot set's order: likelihood descending, ties by record id.
+pub(crate) fn hottest_first(a: &(RecordId, f64), b: &(RecordId, f64)) -> std::cmp::Ordering {
+    b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0))
 }
 
 #[cfg(test)]

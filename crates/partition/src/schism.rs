@@ -14,7 +14,7 @@
 //! objective being compared (distributed-transaction minimization), so both
 //! are out of scope here.
 
-use crate::graph::{build_clique_graph, LoadMetric};
+use crate::graph::{clique_graph, LoadMetric, TraceIndex};
 use crate::metis::{MetisLike, PartitionResult};
 use crate::stats::WorkloadTrace;
 use chiller_common::ids::{PartitionId, RecordId};
@@ -41,24 +41,17 @@ impl SchismPartitioner {
     }
 
     pub fn partition(&self, trace: &WorkloadTrace) -> SchismPartitioning {
-        let mut collector = crate::stats::StatsCollector::new();
-        collector.observe_all(trace);
-        let accesses: HashMap<RecordId, f64> = collector
-            .records()
-            .map(|(r, s)| (*r, s.reads + s.writes))
-            .collect();
-
-        let (graph, record_vertex, records) = build_clique_graph(
-            &trace.txns,
-            |r| accesses.get(&r).copied().unwrap_or(0.0),
-            self.load_metric,
-        );
+        let index = TraceIndex::new(&trace.txns);
+        let graph = clique_graph(&index, self.load_metric, |v| index.accesses(v));
         let result = MetisLike::new(self.k, self.epsilon, self.seed).partition(&graph);
 
-        let map: HashMap<RecordId, PartitionId> = record_vertex
+        let map: HashMap<RecordId, PartitionId> = index
+            .records
             .iter()
-            .map(|(r, &v)| (*r, PartitionId(result.assignment[v as usize])))
+            .zip(&result.assignment)
+            .map(|(&r, &p)| (r, PartitionId(p)))
             .collect();
+        let records = index.records;
 
         SchismPartitioning {
             k: self.k,

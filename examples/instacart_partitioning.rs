@@ -2,6 +2,8 @@
 //! whole §4 pipeline (statistics → contention likelihood → star graph →
 //! multilevel partitioning → hot lookup table), compare with Schism and
 //! hash partitioning, then execute all three (a miniature Figures 7+8).
+//! Each graph's build + partition wall time is printed next to its edge
+//! count: §4.4's cost argument for the star over the clique.
 //!
 //! ```sh
 //! cargo run --release --example instacart_partitioning
@@ -13,6 +15,7 @@ use chiller_partition::chiller_part::distributed_ratio;
 use chiller_partition::{ChillerPartitioner, ContentionModel, LoadMetric, SchismPartitioner};
 use chiller_workload::instacart::{self, InstacartConfig};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     let cfg = InstacartConfig::default();
@@ -27,11 +30,15 @@ fn main() {
     partitioner.load_metric = LoadMetric::Transactions;
     partitioner.hot_threshold = 0.05;
     partitioner.epsilon = 8.0;
+    let started = Instant::now();
     let chiller = partitioner.partition(&trace);
+    let star_time = started.elapsed();
     println!("== Chiller partitioning (§4) ==");
     println!(
-        "star graph: {} vertices, {} edges",
-        chiller.graph_vertices, chiller.graph_edges
+        "star graph: {} vertices, {} edges; graph build + partition {:.1} ms",
+        chiller.graph_vertices,
+        chiller.graph_edges,
+        star_time.as_secs_f64() * 1e3
     );
     println!("hot records (lookup-table entries): {}", chiller.num_hot());
     for (r, pc) in chiller.hot_likelihoods.iter().take(5) {
@@ -42,11 +49,15 @@ fn main() {
     }
 
     // Schism baseline.
+    let started = Instant::now();
     let schism = SchismPartitioner::new(k as u32).partition(&trace);
+    let clique_time = started.elapsed();
     println!("\n== Schism baseline ==");
     println!(
-        "clique graph: {} vertices, {} edges",
-        schism.graph_vertices, schism.graph_edges
+        "clique graph: {} vertices, {} edges; graph build + partition {:.1} ms",
+        schism.graph_vertices,
+        schism.graph_edges,
+        clique_time.as_secs_f64() * 1e3
     );
     println!("lookup-table entries: {}", schism.lookup_entries());
 

@@ -5,7 +5,9 @@
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_partition::chiller_part::distributed_ratio;
-use chiller_partition::{ChillerPartitioner, ContentionModel, LoadMetric, SchismPartitioner};
+use chiller_partition::{
+    ChillerPartitioner, ContentionModel, LoadMetric, PartitionResult, SchismPartitioner,
+};
 use chiller_workload::instacart::{self, InstacartConfig};
 use chiller_workload::tpcc::{self, keys, tables, TpccConfig, TpccMix};
 use std::sync::Arc;
@@ -242,6 +244,50 @@ fn stock_conservation_in_instacart() {
         }
     }
     assert_eq!(decremented, ordered, "{}", report.summary());
+}
+
+/// FNV-1a over a layout: each vertex's partition, then the cut's bits.
+fn layout_digest(result: &PartitionResult) -> u64 {
+    let bytes = result
+        .assignment
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .chain(result.cut.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The partitioners' layouts on the trace `paper_claims` partitions, pinned
+/// bit for bit: graph construction and coarsening may get faster, but any
+/// change to what they compute (an adjacency order, a floating-point
+/// summation order) moves a digest. Runs: Chiller with the benchmark's
+/// `instacart_part` settings and with the defaults `paper_claims` uses for
+/// Figure 8 and the lookup-table size, and Schism at k = 2 and k = 8.
+#[test]
+fn partitioner_layouts_are_pinned() {
+    let trace = instacart::trace(&InstacartConfig::default(), 4_000, 8_000_000);
+    let model = ContentionModel::new(30_000.0, trace.window_ns as f64);
+    let mut tuned = ChillerPartitioner::new(8, model);
+    tuned.load_metric = LoadMetric::Transactions;
+    tuned.hot_threshold = 0.05;
+    tuned.epsilon = 8.0;
+    let digests = [
+        layout_digest(&tuned.partition(&trace).result),
+        layout_digest(&ChillerPartitioner::new(8, model).partition(&trace).result),
+        layout_digest(&SchismPartitioner::new(2).partition(&trace).result),
+        layout_digest(&SchismPartitioner::new(8).partition(&trace).result),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0x5613_da20_9fa2_1af4,
+            0xa519_3455_aaaf_28b8,
+            0x1748_157d_0b58_3de6,
+            0xf6e2_3928_34f1_8089,
+        ],
+        "{digests:#018x?}"
+    );
 }
 
 // ---------------------------------------------------------------------
