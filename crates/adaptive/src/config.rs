@@ -31,10 +31,6 @@ pub struct AdaptiveConfig {
     /// hot records are a tiny fraction of the data, so the contention
     /// objective may co-locate dense cliques (as in the Figure 7 setup).
     pub epsilon: f64,
-    /// Multiplicative decay applied to the per-record sketch each epoch.
-    pub sketch_decay: f64,
-    /// Cap on per-record sketch entries per engine (bounded memory).
-    pub max_sketch_records: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -50,8 +46,6 @@ impl Default for AdaptiveConfig {
             lock_window_ns: 30_000.0,
             min_window_txns: 200,
             epsilon: 8.0,
-            sketch_decay: 0.5,
-            max_sketch_records: 4_096,
         }
     }
 }
@@ -66,6 +60,5 @@ mod tests {
         assert!(c.cool_threshold < c.hot_threshold, "hysteresis required");
         assert!(c.sample_every >= 1);
         assert!(c.window_epochs >= 1);
-        assert!((0.0..=1.0).contains(&c.sketch_decay));
     }
 }

@@ -5,16 +5,16 @@
 //! hot-record lookup table is frozen for the run. This crate closes that
 //! loop at runtime as an epoch-driven feedback cycle:
 //!
-//! 1. a per-engine [`ContentionMonitor`]
-//!    aggregates lock-conflict / abort / access counters and sampled
-//!    transaction read/write-sets into bounded epoch summaries (decayed
-//!    sketches, capped sample buffers);
+//! 1. a per-engine [`ContentionMonitor`] samples every k-th committed
+//!    transaction's read/write-set into a buffer capped per epoch — the
+//!    only statistic the loop keeps; per-record counts and likelihoods are
+//!    derived from the samples when the planner runs;
 //! 2. a [`Directory`] replaces the frozen
 //!    `LookupTable`: the same hot-entry-over-default-partitioner placement,
 //!    but mutable at deterministic points in virtual time;
 //! 3. an [`AdaptivePlanner`] re-runs the existing
 //!    `ChillerPartitioner`/`ContentionModel` incrementally over a sliding
-//!    window of epoch summaries, aligns the resulting partition labels with
+//!    window of epochs' samples, aligns the resulting partition labels with
 //!    the current layout, and diffs the two into a bounded
 //!    [`MigrationPlan`].
 //!
@@ -31,5 +31,5 @@ pub mod planner;
 
 pub use config::AdaptiveConfig;
 pub use directory::Directory;
-pub use monitor::{ContentionMonitor, EpochSummary};
+pub use monitor::ContentionMonitor;
 pub use planner::{AdaptivePlanner, MigrationPlan, RecordMove};

@@ -1,84 +1,40 @@
-//! Per-engine contention monitoring: the runtime replacement for the
+//! Per-engine transaction sampling: the runtime replacement for the
 //! paper's offline sampling service (§4.1).
 //!
-//! Each engine owns one [`ContentionMonitor`]. During execution it absorbs
-//! cheap O(1) observations — lock conflicts, aborts, per-record accesses,
-//! and every k-th committed transaction's read/write-set. At each epoch
-//! boundary the run harness drains it into an [`EpochSummary`]; the
-//! per-record sketch is decayed multiplicatively and pruned to a cap, so
-//! monitor memory stays bounded no matter how long the run is or how many
-//! distinct records it touches.
+//! Each engine owns one [`ContentionMonitor`]. Every `sample_every`-th
+//! transaction that commits at the engine contributes its read/write-set
+//! to the epoch's samples, up to a cap. At each epoch boundary the run
+//! harness drains the samples into the planner, which derives every
+//! per-record statistic it needs from them; so monitor memory is bounded
+//! by the cap, whatever the run's length or the records it touches.
 
-use chiller_common::ids::{NodeId, RecordId};
-use chiller_partition::stats::TxnTrace;
-use std::collections::HashMap;
+use chiller_common::ids::RecordId;
+pub use chiller_partition::stats::TxnTrace;
 
-/// Decayed per-record heat (exponential moving accumulation).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RecordHeat {
-    /// Decayed access count (reads + writes observed at this engine).
-    pub weight: f64,
-    /// Decayed lock-conflict count.
-    pub conflicts: f64,
-}
-
-/// What one engine hands the planner at an epoch boundary.
-#[derive(Debug, Clone)]
-pub struct EpochSummary {
-    pub node: NodeId,
-    /// Sampled committed transactions (1-in-`sample_every`, capped).
-    pub sampled: Vec<TxnTrace>,
-    /// Committed transactions this epoch (all, not just sampled).
-    pub commits: u64,
-    /// Transient aborts this epoch.
-    pub aborts: u64,
-    /// Lock conflicts observed at this engine's storage this epoch.
-    pub conflicts: u64,
-}
-
-/// Bounded-memory contention aggregator owned by one engine.
+/// Bounded sampler of committed read/write-sets, owned by one engine.
 #[derive(Debug)]
 pub struct ContentionMonitor {
     sample_every: u64,
     max_samples: usize,
-    decay: f64,
-    max_sketch: usize,
-
     commits_seen: u64,
     sampled: Vec<TxnTrace>,
-    epoch_commits: u64,
-    epoch_aborts: u64,
-    epoch_conflicts: u64,
-    sketch: HashMap<RecordId, RecordHeat>,
 }
 
 impl ContentionMonitor {
-    pub fn new(sample_every: u64, max_samples: usize, decay: f64, max_sketch: usize) -> Self {
+    pub fn new(sample_every: u64, max_samples: usize) -> Self {
         ContentionMonitor {
             sample_every: sample_every.max(1),
             max_samples,
-            decay: decay.clamp(0.0, 1.0),
-            max_sketch: max_sketch.max(1),
             commits_seen: 0,
             sampled: Vec::new(),
-            epoch_commits: 0,
-            epoch_aborts: 0,
-            epoch_conflicts: 0,
-            sketch: HashMap::new(),
         }
     }
 
     /// A transaction committed at this engine (coordinator side). Every
-    /// `sample_every`-th commit contributes its read/write-set to the
-    /// epoch's trace buffer, up to the cap.
-    pub fn on_commit(&mut self, reads: Vec<RecordId>, writes: Vec<RecordId>) {
-        self.on_commit_with(|| (reads, writes));
-    }
-
-    /// [`on_commit`](Self::on_commit) with the `(reads, writes)` sets built
-    /// lazily — non-sampled commits (the vast majority) pay no allocation.
-    pub fn on_commit_with(&mut self, build: impl FnOnce() -> (Vec<RecordId>, Vec<RecordId>)) {
-        self.epoch_commits += 1;
+    /// `sample_every`-th commit contributes its `(reads, writes)` sets to
+    /// the epoch's samples, up to the cap. The sets are built lazily, so
+    /// the commits not sampled (the vast majority) pay no allocation.
+    pub fn on_commit(&mut self, build: impl FnOnce() -> (Vec<RecordId>, Vec<RecordId>)) {
         self.commits_seen += 1;
         if self.commits_seen.is_multiple_of(self.sample_every)
             && self.sampled.len() < self.max_samples
@@ -88,65 +44,9 @@ impl ContentionMonitor {
         }
     }
 
-    /// A transient abort at this engine (coordinator side).
-    pub fn on_abort(&mut self) {
-        self.epoch_aborts += 1;
-    }
-
-    /// A NO_WAIT lock conflict on `record` at this engine's storage.
-    pub fn on_conflict(&mut self, record: RecordId) {
-        self.epoch_conflicts += 1;
-        self.sketch.entry(record).or_default().conflicts += 1.0;
-    }
-
-    /// A granted access to `record` at this engine's storage.
-    pub fn on_access(&mut self, record: RecordId) {
-        self.sketch.entry(record).or_default().weight += 1.0;
-    }
-
-    /// Records currently sketched (diagnostics / memory accounting).
-    pub fn sketch_len(&self) -> usize {
-        self.sketch.len()
-    }
-
-    /// The `n` heaviest sketched records, descending (ties by id).
-    pub fn hottest(&self, n: usize) -> Vec<(RecordId, RecordHeat)> {
-        let mut v: Vec<(RecordId, RecordHeat)> =
-            self.sketch.iter().map(|(r, h)| (*r, *h)).collect();
-        v.sort_by(|a, b| {
-            b.1.weight
-                .partial_cmp(&a.1.weight)
-                .expect("finite weights")
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(n);
-        v
-    }
-
-    /// Drain the epoch: return the summary, decay and prune the sketch,
-    /// reset the per-epoch counters.
-    pub fn end_epoch(&mut self, node: NodeId) -> EpochSummary {
-        let summary = EpochSummary {
-            node,
-            sampled: std::mem::take(&mut self.sampled),
-            commits: std::mem::take(&mut self.epoch_commits),
-            aborts: std::mem::take(&mut self.epoch_aborts),
-            conflicts: std::mem::take(&mut self.epoch_conflicts),
-        };
-        for heat in self.sketch.values_mut() {
-            heat.weight *= self.decay;
-            heat.conflicts *= self.decay;
-        }
-        self.sketch.retain(|_, h| h.weight >= 1e-3);
-        if self.sketch.len() > self.max_sketch {
-            let keep: std::collections::HashSet<RecordId> = self
-                .hottest(self.max_sketch)
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            self.sketch.retain(|r, _| keep.contains(r));
-        }
-        summary
+    /// Drain the epoch's samples, in commit order.
+    pub fn end_epoch(&mut self) -> Vec<TxnTrace> {
+        std::mem::take(&mut self.sampled)
     }
 }
 
@@ -159,83 +59,26 @@ mod tests {
         RecordId::new(TableId(1), k)
     }
 
-    fn monitor() -> ContentionMonitor {
-        ContentionMonitor::new(2, 100, 0.5, 8)
-    }
-
     #[test]
     fn samples_every_kth_commit_up_to_cap() {
-        let mut m = monitor();
+        let mut m = ContentionMonitor::new(2, 100);
         for i in 0..10 {
-            m.on_commit(vec![rid(i)], vec![]);
+            m.on_commit(|| (vec![rid(i)], vec![]));
         }
-        let s = m.end_epoch(NodeId(0));
-        assert_eq!(s.commits, 10);
-        assert_eq!(s.sampled.len(), 5, "1-in-2 sampling");
-        // Cap respected.
-        let mut m = ContentionMonitor::new(1, 3, 0.5, 8);
-        for i in 0..10 {
-            m.on_commit(vec![], vec![rid(i)]);
-        }
-        assert_eq!(m.end_epoch(NodeId(0)).sampled.len(), 3);
-    }
-
-    #[test]
-    fn epoch_counters_reset() {
-        let mut m = monitor();
-        m.on_abort();
-        m.on_conflict(rid(1));
-        m.on_commit(vec![], vec![]);
-        let s = m.end_epoch(NodeId(3));
+        let s = m.end_epoch();
+        assert_eq!(s.len(), 5, "1-in-2 sampling");
         assert_eq!(
-            (s.node, s.aborts, s.conflicts, s.commits),
-            (NodeId(3), 1, 1, 1)
+            s[0].reads,
+            vec![rid(1)],
+            "the 2nd commit is the first sample"
         );
-        let s2 = m.end_epoch(NodeId(3));
-        assert_eq!((s2.aborts, s2.conflicts, s2.commits), (0, 0, 0));
-    }
-
-    #[test]
-    fn sketch_decays_and_prunes() {
-        let mut m = monitor();
-        for _ in 0..8 {
-            m.on_access(rid(1));
+        // A drain empties the buffer.
+        assert!(m.end_epoch().is_empty());
+        // Cap respected.
+        let mut m = ContentionMonitor::new(1, 3);
+        for i in 0..10 {
+            m.on_commit(|| (vec![], vec![rid(i)]));
         }
-        m.on_access(rid(2));
-        m.end_epoch(NodeId(0));
-        let top = m.hottest(10);
-        assert_eq!(top[0].0, rid(1));
-        assert!((top[0].1.weight - 4.0).abs() < 1e-9, "decayed by 0.5");
-        // Record 2 decays to 0.5, then 0.25 ... and is pruned below 1e-3.
-        for _ in 0..12 {
-            m.end_epoch(NodeId(0));
-        }
-        assert_eq!(m.sketch_len(), 0, "fully decayed sketch is empty");
-    }
-
-    #[test]
-    fn sketch_is_capped_to_heaviest() {
-        let mut m = monitor(); // cap 8
-        for k in 0..32 {
-            for _ in 0..(k + 1) {
-                m.on_access(rid(k));
-            }
-        }
-        m.end_epoch(NodeId(0));
-        assert_eq!(m.sketch_len(), 8);
-        let kept: Vec<RecordId> = m.hottest(8).into_iter().map(|(r, _)| r).collect();
-        assert!(kept.contains(&rid(31)), "heaviest records survive the cap");
-        assert!(!kept.contains(&rid(0)));
-    }
-
-    #[test]
-    fn conflicts_tracked_per_record() {
-        let mut m = monitor();
-        m.on_conflict(rid(9));
-        m.on_conflict(rid(9));
-        m.on_access(rid(9));
-        let h = m.hottest(1)[0];
-        assert_eq!(h.0, rid(9));
-        assert_eq!(h.1.conflicts, 2.0);
+        assert_eq!(m.end_epoch().len(), 3);
     }
 }

@@ -1,9 +1,11 @@
 //! Incremental replanning: the control-plane half of the adaptation loop.
 //!
-//! The planner keeps a sliding window of epoch summaries and, when asked,
-//! re-runs the *existing* §4 pipeline (`ContentionModel` →
-//! `ChillerPartitioner`) over the window's sampled transactions. Two things
-//! make the result usable online:
+//! The planner keeps a sliding window of the engines' sampled transactions
+//! and, when asked, re-runs the *existing* §4 pipeline (`ContentionModel` →
+//! `ChillerPartitioner`) over them. That one pass yields every statistic a
+//! plan reads: the layout, the records hot enough to promote, and, as it
+//! keeps every record at or above the lower `cool_threshold`, the hot
+//! records that have cooled. Two things make the result usable online:
 //!
 //! * **label alignment** — the min-cut partitioner numbers its parts
 //!   arbitrarily, so a naive diff against the live layout would migrate
@@ -17,9 +19,8 @@
 
 use crate::config::AdaptiveConfig;
 use crate::directory::Directory;
-use crate::monitor::EpochSummary;
 use chiller_common::ids::{PartitionId, RecordId};
-use chiller_partition::stats::{StatsCollector, TxnTrace, WorkloadTrace};
+use chiller_partition::stats::{TxnTrace, WorkloadTrace};
 use chiller_partition::{ChillerPartitioner, ContentionModel, LoadMetric};
 use chiller_storage::placement::Placement;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -52,13 +53,12 @@ impl MigrationPlan {
     }
 }
 
-/// Sliding-window replanner over live epoch summaries.
+/// Sliding-window replanner over the engines' sampled transactions.
 pub struct AdaptivePlanner {
     cfg: AdaptiveConfig,
     partitions: u32,
     /// Last `window_epochs` epochs of merged samples.
     window: VecDeque<Vec<TxnTrace>>,
-    epochs_absorbed: u64,
 }
 
 impl AdaptivePlanner {
@@ -68,26 +68,17 @@ impl AdaptivePlanner {
             cfg,
             partitions,
             window: VecDeque::new(),
-            epochs_absorbed: 0,
         }
     }
 
-    pub fn epochs_absorbed(&self) -> u64 {
-        self.epochs_absorbed
-    }
-
-    /// Fold one epoch's per-engine summaries into the window (engine order
-    /// must be deterministic — the harness iterates nodes in id order).
-    pub fn absorb(&mut self, summaries: &[EpochSummary]) {
-        let merged: Vec<TxnTrace> = summaries
-            .iter()
-            .flat_map(|s| s.sampled.iter().cloned())
-            .collect();
-        self.window.push_back(merged);
+    /// Fold one epoch's samples into the window. Their order must be
+    /// deterministic: the harness concatenates the engines' samples in
+    /// node-id order.
+    pub fn absorb(&mut self, sampled: Vec<TxnTrace>) {
+        self.window.push_back(sampled);
         while self.window.len() > self.cfg.window_epochs {
             self.window.pop_front();
         }
-        self.epochs_absorbed += 1;
     }
 
     /// Replan over the current window and diff against `dir`. Records in
@@ -104,33 +95,34 @@ impl AdaptivePlanner {
             (self.cfg.epoch.as_nanos() * self.window.len() as u64) / self.cfg.sample_every.max(1);
         let model = ContentionModel::new(self.cfg.lock_window_ns, window_ns.max(1) as f64);
         let mut partitioner = ChillerPartitioner::new(self.partitions, model);
-        partitioner.hot_threshold = self.cfg.hot_threshold;
+        // Keep every record that has not cooled. The threshold only filters
+        // the result after min-cut partitioning, so the layout is the one
+        // the hot threshold would give, and a record it drops has cooled.
+        partitioner.hot_threshold = self.cfg.cool_threshold.min(self.cfg.hot_threshold);
         partitioner.epsilon = self.cfg.epsilon;
         partitioner.load_metric = LoadMetric::Transactions;
-        let trace = WorkloadTrace::new(txns, window_ns.max(1));
-        let part = partitioner.partition(&trace);
+        let part = partitioner.partition(&WorkloadTrace::new(txns, window_ns.max(1)));
 
-        let likelihood: HashMap<RecordId, f64> = part.hot_likelihoods.iter().copied().collect();
+        // Desired-hot records, hottest first: likelihoods are sorted
+        // descending, so they are the prefix at or above the hot threshold.
+        let n_hot = part
+            .hot_likelihoods
+            .partition_point(|&(_, p)| p >= self.cfg.hot_threshold);
+        let hot = &part.hot_likelihoods[..n_hot];
         let relabel = align_labels(
+            hot,
             &part.hot_assignments,
-            &likelihood,
             |r| dir.partition_of(r),
             self.partitions,
         );
-        let desired: HashMap<RecordId, PartitionId> = part
-            .hot_assignments
+        let desired: HashMap<RecordId, PartitionId> = hot
             .iter()
-            .map(|(r, p)| (*r, relabel[p.idx()]))
+            .map(|(r, _)| (*r, relabel[part.hot_assignments[r].idx()]))
             .collect();
-
-        // Likelihoods of *current* entries, for hysteresis-gated demotion.
-        let mut collector = StatsCollector::new();
-        collector.observe_all(&trace);
 
         let mut plan = MigrationPlan::default();
 
-        // Desired-hot records, hottest first (deterministic order).
-        for &(r, _) in &part.hot_likelihoods {
+        for &(r, _) in hot {
             if in_flight.contains(&r) {
                 continue;
             }
@@ -152,10 +144,7 @@ impl AdaptivePlanner {
 
         // Currently-hot records that cooled below the demotion threshold.
         for r in dir.hot_snapshot() {
-            if in_flight.contains(&r) || desired.contains_key(&r) {
-                continue;
-            }
-            if model.likelihood(collector.stats(r)) < self.cfg.cool_threshold {
+            if !in_flight.contains(&r) && !part.hot_assignments.contains_key(&r) {
                 plan.demotions.push(r);
             }
         }
@@ -188,27 +177,27 @@ impl AdaptivePlanner {
 }
 
 /// Permute the partitioner's arbitrary labels to best match the current
-/// locations of the hot records (likelihood-weighted greedy matching).
-/// Returns `relabel[new_label] = partition to use instead`.
+/// locations of the `hot` records (likelihood-weighted greedy matching);
+/// `label` holds each one's partition in the new layout. Returns
+/// `relabel[new_label] = partition to use instead`.
 fn align_labels(
-    desired: &HashMap<RecordId, PartitionId>,
-    likelihood: &HashMap<RecordId, f64>,
+    hot: &[(RecordId, f64)],
+    label: &HashMap<RecordId, PartitionId>,
     current: impl Fn(RecordId) -> PartitionId,
     k: u32,
 ) -> Vec<PartitionId> {
     let k = k as usize;
     // overlap[new][cur] = summed likelihood of records the relabeling
-    // new -> cur would keep in place. Accumulate in sorted record order:
-    // HashMap iteration order varies per instance, and f64 addition is not
-    // associative, so an unsorted walk could flip near-tied greedy picks
-    // between otherwise identical runs.
-    let mut sorted: Vec<(RecordId, PartitionId)> = desired.iter().map(|(r, p)| (*r, *p)).collect();
-    sorted.sort();
+    // new -> cur would keep in place. Accumulate in record order: f64
+    // addition is not associative, so the order decides near-tied greedy
+    // picks, and `tests/parity.rs`'s adaptive pins fix this one.
+    let mut sorted = hot.to_vec();
+    sorted.sort_by_key(|&(r, _)| r);
     let mut overlap = vec![vec![0.0f64; k]; k];
-    for (r, new_label) in sorted {
-        let cur = current(r);
+    for (r, p) in sorted {
+        let (new_label, cur) = (label[&r], current(r));
         if new_label.idx() < k && cur.idx() < k {
-            overlap[new_label.idx()][cur.idx()] += likelihood.get(&r).copied().unwrap_or(1e-9);
+            overlap[new_label.idx()][cur.idx()] += p;
         }
     }
     let mut relabel: Vec<Option<PartitionId>> = vec![None; k];
@@ -244,7 +233,7 @@ fn align_labels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiller_common::ids::{NodeId, TableId};
+    use chiller_common::ids::TableId;
     use chiller_common::time::Duration;
     use chiller_storage::placement::HashPlacement;
     use std::sync::Arc;
@@ -269,7 +258,7 @@ mod tests {
 
     /// A hotspot over records `base..base+4`, co-written in pairs, plus
     /// cold uniform traffic.
-    fn hot_epoch(base: u64, n: usize) -> EpochSummary {
+    fn hot_epoch(base: u64, n: usize) -> Vec<TxnTrace> {
         let mut sampled = Vec::new();
         for i in 0..n {
             let pair = (base + (i as u64 % 2) * 2, base + (i as u64 % 2) * 2 + 1);
@@ -278,26 +267,20 @@ mod tests {
                 vec![rid(pair.0), rid(pair.1)],
             ));
         }
-        EpochSummary {
-            node: NodeId(0),
-            sampled,
-            commits: n as u64,
-            aborts: 0,
-            conflicts: n as u64 / 4,
-        }
+        sampled
     }
 
     #[test]
     fn thin_data_yields_empty_plan() {
         let mut p = AdaptivePlanner::new(cfg(), 4);
-        p.absorb(&[hot_epoch(0, 10)]);
+        p.absorb(hot_epoch(0, 10));
         assert!(p.plan(&dir(), &HashSet::new()).is_empty());
     }
 
     #[test]
     fn detects_hotspot_and_plans_colocation() {
         let mut p = AdaptivePlanner::new(cfg(), 4);
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let d = dir();
         let plan = p.plan(&d, &HashSet::new());
         assert!(!plan.is_empty(), "hotspot must produce a plan");
@@ -322,7 +305,7 @@ mod tests {
     #[test]
     fn stable_hotspot_converges_to_empty_plan() {
         let mut p = AdaptivePlanner::new(cfg(), 4);
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let d = dir();
         let plan = p.plan(&d, &HashSet::new());
         // Apply the plan to the directory (as completed migrations would).
@@ -333,7 +316,7 @@ mod tests {
             d.relocate(m.record, m.to, m.hot_after);
         }
         // Same workload again: label alignment must keep the layout.
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let plan2 = p.plan(&d, &HashSet::new());
         assert!(
             plan2.moves.is_empty() && plan2.promotions.is_empty(),
@@ -344,7 +327,7 @@ mod tests {
     #[test]
     fn shifted_hotspot_replans_and_old_set_cools() {
         let mut p = AdaptivePlanner::new(cfg(), 4);
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let d = dir();
         let plan = p.plan(&d, &HashSet::new());
         for (r, at) in &plan.promotions {
@@ -355,8 +338,8 @@ mod tests {
         }
         // The hotspot moves to records 100..104 for two epochs (the old
         // epoch falls out of the window).
-        p.absorb(&[hot_epoch(100, 400)]);
-        p.absorb(&[hot_epoch(100, 400)]);
+        p.absorb(hot_epoch(100, 400));
+        p.absorb(hot_epoch(100, 400));
         let plan2 = p.plan(&d, &HashSet::new());
         let planned: HashSet<RecordId> = plan2
             .moves
@@ -378,7 +361,7 @@ mod tests {
     #[test]
     fn in_flight_records_are_skipped() {
         let mut p = AdaptivePlanner::new(cfg(), 4);
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let d = dir();
         let all: HashSet<RecordId> = (0..4).map(rid).collect();
         let plan = p.plan(&d, &all);
@@ -395,20 +378,16 @@ mod tests {
         let mut c = cfg();
         c.max_moves_per_epoch = 1;
         let mut p = AdaptivePlanner::new(c, 4);
-        p.absorb(&[hot_epoch(0, 400)]);
+        p.absorb(hot_epoch(0, 400));
         let plan = p.plan(&dir(), &HashSet::new());
         assert!(plan.moves.len() <= 1);
     }
 
     #[test]
     fn align_labels_prefers_current_locations() {
-        let mut desired = HashMap::new();
-        let mut lik = HashMap::new();
         // New label 0 holds records currently on partition 2 and vice versa.
-        desired.insert(rid(1), PartitionId(0));
-        desired.insert(rid(2), PartitionId(2));
-        lik.insert(rid(1), 0.9);
-        lik.insert(rid(2), 0.8);
+        let hot = [(rid(1), 0.9), (rid(2), 0.8)];
+        let label = HashMap::from([(rid(1), PartitionId(0)), (rid(2), PartitionId(2))]);
         let current = |r: RecordId| {
             if r == rid(1) {
                 PartitionId(2)
@@ -416,7 +395,7 @@ mod tests {
                 PartitionId(0)
             }
         };
-        let relabel = align_labels(&desired, &lik, current, 4);
+        let relabel = align_labels(&hot, &label, current, 4);
         assert_eq!(relabel[0], PartitionId(2));
         assert_eq!(relabel[2], PartitionId(0));
         // Unused labels map to the remaining partitions, each used once.

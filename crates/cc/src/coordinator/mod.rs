@@ -520,7 +520,7 @@ pub(crate) fn finish_commit(
         // so re-resolve by key here — with all outputs in, every key
         // resolves — or the hottest records would vanish from the samples
         // the moment they are promoted, and the planner would oscillate.
-        mon.on_commit_with(|| {
+        mon.on_commit(|| {
             let mut reads = Vec::new();
             let mut writes = Vec::new();
             for (i, st) in coord.ops.iter().enumerate() {
@@ -617,9 +617,6 @@ pub(crate) fn abort_attempt(
         FailKind::Transient(reason) => {
             eng.metrics.type_stats(name).aborts += 1;
             eng.metrics.abort_reasons.record(reason);
-            if let Some(mon) = eng.monitor.as_mut() {
-                mon.on_abort();
-            }
             if coord.attempts >= eng.config.engine.max_retries {
                 eng.schedule_fresh_start(ctx, slot);
             } else {

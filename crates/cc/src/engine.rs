@@ -28,7 +28,7 @@ use crate::input::{InputSource, ProcRegistry, TxnInput};
 use crate::migration::{Migration, MigrationJob};
 use crate::msg::Msg;
 use crate::protocol::Protocol;
-use chiller_adaptive::monitor::{ContentionMonitor, EpochSummary};
+use chiller_adaptive::monitor::{ContentionMonitor, TxnTrace};
 use chiller_adaptive::Directory;
 use chiller_common::config::SimConfig;
 use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
@@ -141,7 +141,7 @@ pub struct EngineActor {
     /// (used to drain the cluster for invariant checks).
     pub(crate) accepting: bool,
     pub(crate) metrics: MetricSet,
-    /// Contention monitor (present iff the cluster adapts online).
+    /// Commit sampler (present iff the cluster adapts online).
     pub(crate) monitor: Option<ContentionMonitor>,
     /// Lifecycle tracer (no-op unless the cluster enables tracing).
     pub(crate) tracer: Tracer,
@@ -227,11 +227,10 @@ impl EngineActor {
         self.txns.len()
     }
 
-    /// Drain this engine's contention monitor at an epoch boundary.
+    /// Drain this engine's sampled commits at an epoch boundary.
     /// Returns `None` when the cluster runs without adaptation.
-    pub fn take_epoch_summary(&mut self) -> Option<EpochSummary> {
-        let node = self.node;
-        self.monitor.as_mut().map(|m| m.end_epoch(node))
+    pub fn take_epoch_samples(&mut self) -> Option<Vec<TxnTrace>> {
+        self.monitor.as_mut().map(ContentionMonitor::end_epoch)
     }
 
     /// Move everything the tracer and the history recorder buffered since

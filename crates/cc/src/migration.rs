@@ -294,18 +294,13 @@ impl EngineActor {
     ) {
         let now = ctx.now();
         let resp = match self.store.try_lock(record, txn, LockMode::Exclusive, now) {
-            Err(_) => {
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.on_conflict(record);
-                }
-                Msg::MigrateLockResp {
-                    txn,
-                    granted: false,
-                    missing: false,
-                    row: None,
-                    version: 0,
-                }
-            }
+            Err(_) => Msg::MigrateLockResp {
+                txn,
+                granted: false,
+                missing: false,
+                row: None,
+                version: 0,
+            },
             Ok(()) => match self.store.read_opt(record).cloned() {
                 Some(row) => Msg::MigrateLockResp {
                     txn,

@@ -103,15 +103,9 @@ impl EngineActor {
                 Ok(()) => {
                     granted += 1;
                     self.trace_lock_acquire(item.record, txn, now);
-                    if let Some(mon) = self.monitor.as_mut() {
-                        mon.on_access(item.record);
-                    }
                 }
                 Err(_) => {
                     conflict = Some(item.record);
-                    if let Some(mon) = self.monitor.as_mut() {
-                        mon.on_conflict(item.record);
-                    }
                     break;
                 }
             }
@@ -467,17 +461,11 @@ impl EngineActor {
             );
             let mode = crate::coordinator::lock_mode_for(op);
             if self.store.try_lock(rid, txn, mode, now).is_err() {
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.on_conflict(rid);
-                }
                 fail = Some(true);
                 break;
             }
             locked.push(rid);
             self.trace_lock_acquire(rid, txn, now);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.on_access(rid);
-            }
             let exists = self.store.exists(rid);
             let expect_absent = matches!(op.kind, OpKind::Insert(_));
             if !exists && self.migrated_out.contains(&rid) {

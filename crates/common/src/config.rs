@@ -8,10 +8,9 @@
 //! defaults preserve.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Latency and CPU-cost model of the simulated RDMA network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// One-way latency of a one-sided RDMA verb (READ/WRITE/CAS) between two
     /// distinct machines. Handled by the remote NIC: costs no remote CPU.
@@ -63,7 +62,7 @@ impl NetworkConfig {
 }
 
 /// Per-engine execution-cost model and concurrency settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum transactions simultaneously open per engine — the paper's
     /// "number of concurrent transactions per warehouse" knob (Figure 9).
@@ -94,7 +93,7 @@ impl Default for EngineConfig {
 }
 
 /// Replication settings (§5 of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicationConfig {
     /// Total copies per record (paper's experiments use 2: one primary plus
     /// one replica on a different machine).
@@ -119,7 +118,7 @@ impl ReplicationConfig {
 }
 
 /// Top-level simulation config bundling the model parameters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     pub network: NetworkConfig,
     pub engine: EngineConfig,

@@ -3,7 +3,6 @@
 //! All identifiers are thin newtypes over integers so they are `Copy`, hash
 //! fast, and cannot be confused with one another at API boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a physical server (simulated machine) in the cluster.
@@ -11,18 +10,18 @@ use std::fmt;
 /// In the NAM-DB style deployment each node hosts exactly one primary
 /// partition and one execution engine (the paper pins one engine thread per
 /// core and, in the partitioning experiments, one core per machine).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifies a logical data partition.
 ///
 /// Partition `p`'s primary copy lives on node `p` in the default topology;
 /// replicas are placed on the following nodes (mod cluster size).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PartitionId(pub u32);
 
 /// Identifies a table within the database schema.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub u16);
 
 /// Globally-unique transaction identifier.
@@ -31,12 +30,12 @@ pub struct TableId(pub u16);
 /// sequence number in the lower bits so coordinators can mint ids without
 /// coordination — mirroring how the paper derives unique message ids by
 /// concatenating a partition id with a local counter (§5).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 /// Identifies one operation within a stored procedure (index into the
 /// procedure's operation list; also the node id in the dependency graph).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u16);
 
 /// Fully-qualified record identifier: table + primary key.
@@ -44,7 +43,7 @@ pub struct OpId(pub u16);
 /// Primary keys are 64-bit; composite keys are packed by the schema layer
 /// (e.g. TPC-C `(w_id, d_id, c_id)` packs into bit-fields). Packing keeps
 /// records `Copy` and makes the hot-record lookup table a flat hash map.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId {
     pub table: TableId,
     pub key: u64,

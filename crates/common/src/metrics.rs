@@ -6,7 +6,6 @@
 //! into the rows the paper's figures report.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Latency histogram with logarithmic buckets (HdrHistogram-style, base-2
@@ -22,7 +21,7 @@ use std::collections::BTreeMap;
 /// for the simulator's tightly clustered virtual latencies but made
 /// threaded p99s jump in ≥0.6ms steps. Memory cost is ~29KB per
 /// histogram, irrelevant at one `MetricSet` per engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -164,7 +163,7 @@ impl Histogram {
 /// carry no reason. The sum over all reasons therefore equals
 /// [`MetricSet::total_aborts`] — a property the test suite pins under all
 /// three protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// NO_WAIT lock acquisition hit a conflicting holder (Chiller inner/outer
     /// regions and 2PL both abort rather than wait).
@@ -217,7 +216,7 @@ impl std::fmt::Display for AbortReason {
 }
 
 /// Per-reason abort counters (one slot per [`AbortReason`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AbortReasons {
     counts: [u64; AbortReason::ALL.len()],
 }
@@ -250,7 +249,7 @@ impl AbortReasons {
 }
 
 /// Commit/abort bookkeeping for one transaction type.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TxnTypeStats {
     pub commits: u64,
     /// Transient aborts (lock conflict / validation failure), i.e. the aborts
@@ -291,7 +290,7 @@ impl TxnTypeStats {
 }
 
 /// Aggregated run metrics keyed by transaction-type name.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricSet {
     pub per_type: BTreeMap<String, TxnTypeStats>,
     pub latency: Histogram,

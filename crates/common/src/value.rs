@@ -5,11 +5,10 @@
 //! CPU-cost model per operation instead of per byte, matching the paper's
 //! observation that with RDMA the network is no longer bandwidth-bound.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single column value.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer (ids, counts, quantities).
     I64(i64),

@@ -483,8 +483,6 @@ impl ClusterBuilder {
                 chiller_adaptive::ContentionMonitor::new(
                     a.cfg.sample_every,
                     a.cfg.max_samples_per_epoch,
-                    a.cfg.sketch_decay,
-                    a.cfg.max_sketch_records,
                 )
             });
             let mut source = source_factory(node);
@@ -839,13 +837,14 @@ impl Cluster {
     fn control_step(&mut self) {
         let state = self.adaptive.as_mut().expect("adaptive control step");
         state.stats.epochs += 1;
-        let summaries: Vec<chiller_adaptive::EpochSummary> = self
+        let sampled = self
             .rt
             .actors_mut()
             .iter_mut()
-            .filter_map(EngineActor::take_epoch_summary)
+            .filter_map(EngineActor::take_epoch_samples)
+            .flatten()
             .collect();
-        state.planner.absorb(&summaries);
+        state.planner.absorb(sampled);
 
         let in_flight: HashSet<RecordId> = self
             .rt

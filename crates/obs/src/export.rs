@@ -1,6 +1,6 @@
 //! Exporters: JSONL event stream and Chrome `trace_event` JSON.
 //!
-//! Both are hand-rolled — the workspace's `serde` shim derives are no-ops
+//! Both are hand-rolled — the workspace's `serde` shim has no derives
 //! (DESIGN §Shims), so any JSON this repo emits is built by hand and kept
 //! deliberately simple.
 

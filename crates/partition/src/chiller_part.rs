@@ -18,6 +18,11 @@ use chiller_common::ids::{PartitionId, RecordId};
 use chiller_storage::placement::{HashPlacement, LookupTable, Placement};
 use std::collections::HashMap;
 
+/// §4.4 co-optimization: a positive floor on every edge weight
+/// re-introduces pressure to co-locate the records of one transaction
+/// (fewer distributed transactions) as a secondary objective.
+const MIN_EDGE_WEIGHT: f64 = 1e-4;
+
 /// Configuration of the Chiller partitioner.
 #[derive(Debug, Clone)]
 pub struct ChillerPartitioner {
@@ -27,9 +32,6 @@ pub struct ChillerPartitioner {
     /// Contention-likelihood threshold above which a record is "hot" and
     /// receives a lookup-table entry.
     pub hot_threshold: f64,
-    /// §4.4 co-optimization: positive floor on edge weights to also
-    /// discourage distributed transactions as a secondary objective.
-    pub min_edge_weight: f64,
     pub load_metric: LoadMetric,
     pub model: ContentionModel,
 }
@@ -41,7 +43,6 @@ impl ChillerPartitioner {
             epsilon: 0.05,
             seed: 0xC411E6,
             hot_threshold: 0.01,
-            min_edge_weight: 1e-4,
             load_metric: LoadMetric::Accesses,
             model,
         }
@@ -58,17 +59,13 @@ impl ChillerPartitioner {
             .iter()
             .map(|&s| self.model.likelihood(s))
             .collect();
-        let edge_weight: Vec<f64> = likelihood
-            .iter()
-            .map(|p| p + self.min_edge_weight)
-            .collect();
-        let vwgt = star_vertex_weights(&index, self.load_metric, |v| index.accesses(v));
+        let edge_weight: Vec<f64> = likelihood.iter().map(|p| p + MIN_EDGE_WEIGHT).collect();
+        let vwgt = star_vertex_weights(&index, self.load_metric);
         let star = StarGraph::assemble(index, &edge_weight, vwgt);
 
         let result = MetisLike::new(self.k, self.epsilon, self.seed).partition(&star.graph);
 
-        // Keep assignments only for hot records, hottest first (the order
-        // of `ContentionModel::hot_records`).
+        // Keep assignments only for hot records, hottest first.
         let mut hot: Vec<((RecordId, f64), usize)> = likelihood
             .iter()
             .enumerate()
@@ -82,18 +79,10 @@ impl ChillerPartitioner {
             .collect();
         let hot_likelihoods = hot.into_iter().map(|(hot, _)| hot).collect();
 
-        // Inner-host preference per traced transaction: the partition of
-        // its t-vertex (diagnostics; the run-time decision recomputes this
-        // per instance).
-        let txn_home: Vec<PartitionId> = (0..star.num_txns)
-            .map(|t| PartitionId(result.assignment[(star.t_base as usize) + t]))
-            .collect();
-
         ChillerPartitioning {
             k: self.k,
             hot_assignments,
             hot_likelihoods,
-            txn_home,
             result,
             graph_vertices: star.graph.num_vertices(),
             graph_edges: star.graph.num_edges(),
@@ -107,10 +96,8 @@ pub struct ChillerPartitioning {
     pub k: u32,
     /// Hot record → partition (the lookup table's content).
     pub hot_assignments: HashMap<RecordId, PartitionId>,
-    /// Hot records with their likelihoods, descending.
+    /// Hot records with their likelihoods, descending (ties by id).
     pub hot_likelihoods: Vec<(RecordId, f64)>,
-    /// Partition of each traced transaction's t-vertex.
-    pub txn_home: Vec<PartitionId>,
     pub result: PartitionResult,
     pub graph_vertices: usize,
     pub graph_edges: usize,
@@ -206,6 +193,28 @@ mod tests {
         assert!(ls.windows(2).all(|w| w[0] >= w[1]));
         // Rank-0 of the Zipf must be hot.
         assert!(part.hot_assignments.contains_key(&rid(0)));
+
+        // Record 1 is written 1 000 times, record 2 100 times, and record
+        // 3 only read: λw = 10 gives Pc ≈ 1, λw = 1 gives Pc = 1 − 2/e ≈
+        // 0.264, and reads alone never contend.
+        let mut txns = vec![TxnTrace::new(vec![], vec![rid(1)]); 1_000];
+        txns.extend(vec![TxnTrace::new(vec![], vec![rid(2)]); 100]);
+        txns.push(TxnTrace::new(vec![rid(3)], vec![]));
+        let trace = WorkloadTrace::new(txns, 1_000_000);
+        let mut p = ChillerPartitioner::new(2, ContentionModel::new(10_000.0, 1_000_000.0));
+        let mut hot_at = |threshold| {
+            p.hot_threshold = threshold;
+            let part = p.partition(&trace);
+            let hot: Vec<RecordId> = part.hot_likelihoods.iter().map(|&(r, _)| r).collect();
+            assert_eq!(hot.len(), part.num_hot());
+            hot
+        };
+        assert_eq!(hot_at(0.5), [rid(1)]);
+        assert_eq!(
+            hot_at(0.0001),
+            [rid(1), rid(2)],
+            "read-only record must stay cold"
+        );
     }
 
     #[test]

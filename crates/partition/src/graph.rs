@@ -99,10 +99,9 @@ pub enum LoadMetric {
 /// A trace's records as r-vertex ids, shared by both graph builders.
 ///
 /// Records are numbered in first-access order (within a transaction,
-/// writes before reads). Each record is hashed once per access, here;
-/// everything downstream indexes dense per-vertex arrays.
+/// writes before reads). Each record is hashed once per access, while
+/// indexing; everything downstream indexes dense per-vertex arrays.
 pub(crate) struct TraceIndex {
-    pub(crate) record_vertex: HashMap<RecordId, u32>,
     pub(crate) records: Vec<RecordId>,
     /// Read and write counts of each r-vertex.
     pub(crate) stats: Vec<RecordStats>,
@@ -114,8 +113,8 @@ pub(crate) struct TraceIndex {
 
 impl TraceIndex {
     pub(crate) fn new(txns: &[TxnTrace]) -> TraceIndex {
+        let mut record_vertex: HashMap<RecordId, u32> = HashMap::new();
         let mut index = TraceIndex {
-            record_vertex: HashMap::new(),
             records: Vec::new(),
             stats: Vec::new(),
             start: Vec::with_capacity(txns.len() + 1),
@@ -127,7 +126,7 @@ impl TraceIndex {
             distinct.clear();
             let writes = t.writes.iter().map(|&r| (r, true));
             for (r, write) in writes.chain(t.reads.iter().map(|&r| (r, false))) {
-                let v = *index.record_vertex.entry(r).or_insert_with(|| {
+                let v = *record_vertex.entry(r).or_insert_with(|| {
                     index.records.push(r);
                     index.stats.push(RecordStats::default());
                     (index.records.len() - 1) as u32
@@ -167,52 +166,21 @@ impl TraceIndex {
     }
 }
 
-/// Chiller's star representation plus the bookkeeping to map the
-/// partitioner's output back to records and transactions.
+/// Chiller's star representation plus the records its r-vertices stand
+/// for. Record `records[v]` is r-vertex `v`; transaction `i` of the trace
+/// is t-vertex `records.len() + i`.
 #[derive(Debug, Clone)]
 pub struct StarGraph {
     pub graph: Graph,
-    /// r-vertex index of each record (r-vertices occupy `0..records.len()`).
-    pub record_vertex: HashMap<RecordId, u32>,
-    /// Inverse of `record_vertex`.
     pub records: Vec<RecordId>,
-    /// First t-vertex index (t-vertex `i` = transaction `i` of the trace).
-    pub t_base: u32,
-    pub num_txns: usize,
 }
 
 impl StarGraph {
-    /// Build the star graph from a trace.
-    ///
-    /// * `likelihood(record)` — the record's contention likelihood, used as
-    ///   the weight of all its edges (§4.2: "this weight is relative to the
-    ///   record's contention likelihood").
-    /// * `min_edge_weight` — the §4.4 co-optimization: a positive floor on
-    ///   every edge weight re-introduces pressure to co-locate records of
-    ///   the same transaction (minimizing distributed transactions) as a
-    ///   secondary objective.
-    /// * `accesses(record)` — reads+writes, for the `Accesses` load metric.
-    pub fn build(
-        txns: &[TxnTrace],
-        likelihood: impl Fn(RecordId) -> f64,
-        accesses: impl Fn(RecordId) -> f64,
-        metric: LoadMetric,
-        min_edge_weight: f64,
-    ) -> StarGraph {
-        let index = TraceIndex::new(txns);
-        let edge_weight: Vec<f64> = index
-            .records
-            .iter()
-            .map(|&r| likelihood(r) + min_edge_weight)
-            .collect();
-        let vwgt = star_vertex_weights(&index, metric, |v| accesses(index.records[v]));
-        StarGraph::assemble(index, &edge_weight, vwgt)
-    }
-
     /// The star over an indexed trace: every edge of r-vertex `v` weighs
-    /// `edge_weight[v]`, and `vwgt` covers the r- then the t-vertices.
-    /// Every (record, transaction) pair is distinct, so edges are pushed
-    /// into adjacency lists sized up front, never searched for.
+    /// `edge_weight[v]` (§4.2: "this weight is relative to the record's
+    /// contention likelihood"), and `vwgt` covers the r- then the
+    /// t-vertices. Every (record, transaction) pair is distinct, so edges
+    /// are pushed into adjacency lists sized up front, never searched for.
     pub(crate) fn assemble(index: TraceIndex, edge_weight: &[f64], vwgt: Vec<f64>) -> StarGraph {
         let nr = index.num_records();
         let nt = index.num_txns();
@@ -236,10 +204,7 @@ impl StarGraph {
         }
         StarGraph {
             graph: Graph { vwgt, adj },
-            record_vertex: index.record_vertex,
             records: index.records,
-            t_base: nr as u32,
-            num_txns: nt,
         }
     }
 
@@ -249,18 +214,13 @@ impl StarGraph {
 }
 
 /// Star vertex weights under `metric`: r-vertices, then t-vertices.
-/// `accesses(v)` is r-vertex `v`'s reads+writes.
-pub(crate) fn star_vertex_weights(
-    index: &TraceIndex,
-    metric: LoadMetric,
-    accesses: impl Fn(usize) -> f64,
-) -> Vec<f64> {
+pub(crate) fn star_vertex_weights(index: &TraceIndex, metric: LoadMetric) -> Vec<f64> {
     let (nr, nt) = (index.num_records(), index.num_txns());
     let mut vwgt = Vec::with_capacity(nr + nt);
     vwgt.extend((0..nr).map(|v| match metric {
         LoadMetric::Transactions => 0.0,
         LoadMetric::Records => 1.0,
-        LoadMetric::Accesses => accesses(v),
+        LoadMetric::Accesses => index.accesses(v),
     }));
     let t_weight = match metric {
         LoadMetric::Transactions => 1.0,
@@ -270,20 +230,9 @@ pub(crate) fn star_vertex_weights(
     vwgt
 }
 
-/// Schism-style clique co-access graph: r-vertices only; every co-accessed
-/// pair gets an edge weighted by co-access frequency.
-pub fn build_clique_graph(
-    txns: &[TxnTrace],
-    accesses: impl Fn(RecordId) -> f64,
-    metric: LoadMetric,
-) -> (Graph, HashMap<RecordId, u32>, Vec<RecordId>) {
-    let index = TraceIndex::new(txns);
-    let graph = clique_graph(&index, metric, |v| accesses(index.records[v]));
-    (graph, index.record_vertex, index.records)
-}
-
-/// The clique graph over an indexed trace; `accesses(v)` is r-vertex
-/// `v`'s reads+writes.
+/// Schism-style clique co-access graph over an indexed trace: r-vertices
+/// only; every co-accessed pair gets an edge weighted by co-access
+/// frequency.
 ///
 /// Each adjacency list holds its neighbors in the order their pair was
 /// first co-accessed, and each weight counts co-accesses: what one
@@ -291,18 +240,14 @@ pub fn build_clique_graph(
 /// directed pair occurrence is bucketed by its source with a stable
 /// counting sort, then each bucket is deduplicated through a dense slot
 /// table.
-pub(crate) fn clique_graph(
-    index: &TraceIndex,
-    metric: LoadMetric,
-    accesses: impl Fn(usize) -> f64,
-) -> Graph {
+pub(crate) fn clique_graph(index: &TraceIndex, metric: LoadMetric) -> Graph {
     let n = index.num_records();
     let vwgt = (0..n)
         .map(|v| match metric {
             // Transactions isn't representable without t-vertices; Schism
             // balances records or accesses.
             LoadMetric::Transactions | LoadMetric::Records => 1.0,
-            LoadMetric::Accesses => accesses(v),
+            LoadMetric::Accesses => index.accesses(v),
         })
         .collect();
 
@@ -389,18 +334,49 @@ mod tests {
         assert_eq!(g.edge_cut(&[0, 1, 0, 1]), 7.0);
     }
 
+    /// The star over `txns` as the pipeline builds it, with every edge of
+    /// a record weighing `likelihood(record) + floor`.
+    fn star(
+        txns: &[TxnTrace],
+        likelihood: impl Fn(RecordId) -> f64,
+        floor: f64,
+        metric: LoadMetric,
+    ) -> StarGraph {
+        let index = TraceIndex::new(txns);
+        let edge_weight: Vec<f64> = index
+            .records
+            .iter()
+            .map(|&r| likelihood(r) + floor)
+            .collect();
+        let vwgt = star_vertex_weights(&index, metric);
+        StarGraph::assemble(index, &edge_weight, vwgt)
+    }
+
+    /// The clique over `txns` as Schism builds it, and its records.
+    fn clique(txns: &[TxnTrace]) -> (Graph, Vec<RecordId>) {
+        let index = TraceIndex::new(txns);
+        (clique_graph(&index, LoadMetric::Records), index.records)
+    }
+
+    fn vertex_of(records: &[RecordId], r: RecordId) -> usize {
+        records.iter().position(|&x| x == r).expect("traced record")
+    }
+
     #[test]
     fn star_graph_shape_matches_paper() {
         // |V| = |R| + |T|, |E| = Σ records per txn (the §4.4 size claim).
         let txns = trace();
-        let sg = StarGraph::build(&txns, |_| 0.5, |_| 1.0, LoadMetric::Records, 0.0);
+        let sg = star(&txns, |_| 0.5, 0.0, LoadMetric::Records);
         assert_eq!(sg.num_records(), 3);
         assert_eq!(sg.graph.num_vertices(), 3 + 2);
         assert_eq!(sg.graph.num_edges(), 2 + 3);
         // No record-to-record edges.
         for (u, nbrs) in sg.graph.adj.iter().enumerate().take(sg.num_records()) {
             for &(v, _) in nbrs {
-                assert!(v >= sg.t_base, "r-vertex {u} connects to r-vertex {v}");
+                assert!(
+                    v as usize >= sg.num_records(),
+                    "r-vertex {u} connects to r-vertex {v}"
+                );
             }
         }
     }
@@ -409,13 +385,11 @@ mod tests {
     fn star_edge_weights_follow_likelihood_plus_floor() {
         let txns = trace();
         let lk = |r: RecordId| if r == rid(2) { 0.8 } else { 0.0 };
-        let sg = StarGraph::build(&txns, lk, |_| 1.0, LoadMetric::Records, 0.1);
-        let rv2 = sg.record_vertex[&rid(2)];
-        for &(_, w) in &sg.graph.adj[rv2 as usize] {
+        let sg = star(&txns, lk, 0.1, LoadMetric::Records);
+        for &(_, w) in &sg.graph.adj[vertex_of(&sg.records, rid(2))] {
             assert!((w - 0.9).abs() < 1e-12);
         }
-        let rv1 = sg.record_vertex[&rid(1)];
-        for &(_, w) in &sg.graph.adj[rv1 as usize] {
+        for &(_, w) in &sg.graph.adj[vertex_of(&sg.records, rid(1))] {
             assert!((w - 0.1).abs() < 1e-12);
         }
     }
@@ -423,25 +397,27 @@ mod tests {
     #[test]
     fn star_load_metrics() {
         let txns = trace();
-        let by_txn = StarGraph::build(&txns, |_| 0.0, |_| 2.0, LoadMetric::Transactions, 0.0);
+        let by_txn = star(&txns, |_| 0.0, 0.0, LoadMetric::Transactions);
         assert_eq!(by_txn.graph.vwgt[..3], [0.0, 0.0, 0.0]);
         assert_eq!(by_txn.graph.vwgt[3..], [1.0, 1.0]);
-        let by_acc = StarGraph::build(&txns, |_| 0.0, |_| 2.0, LoadMetric::Accesses, 0.0);
-        assert_eq!(by_acc.graph.vwgt[..3], [2.0, 2.0, 2.0]);
+        // Records 2, 1, 3 (first-access order, writes first) are accessed
+        // 2, 2 and 1 times.
+        let by_acc = star(&txns, |_| 0.0, 0.0, LoadMetric::Accesses);
+        assert_eq!(by_acc.records, [rid(2), rid(1), rid(3)]);
+        assert_eq!(by_acc.graph.vwgt[..3], [2.0, 2.0, 1.0]);
         assert_eq!(by_acc.graph.vwgt[3..], [0.0, 0.0]);
     }
 
     #[test]
     fn clique_graph_is_quadratic_per_txn() {
         let txns = trace();
-        let (g, _, records) = build_clique_graph(&txns, |_| 1.0, LoadMetric::Records);
+        let (g, records) = clique(&txns);
         assert_eq!(records.len(), 3);
         // txn1 (2 records): 1 edge; txn2 (3 records): 3 edges; pair (1,2)
         // repeats so it accumulates: distinct edges = 1+3-1 = 3.
         assert_eq!(g.num_edges(), 3);
         // Co-access frequency of (1,2) is 2.
-        let v1 = records.iter().position(|&r| r == rid(1)).unwrap();
-        let w12 = g.adj[v1]
+        let w12 = g.adj[vertex_of(&records, rid(1))]
             .iter()
             .find(|(n, _)| records[*n as usize] == rid(2))
             .unwrap()
@@ -508,8 +484,8 @@ mod tests {
                 .collect();
             let likelihood = |r: RecordId| (r.key % 7) as f64 / 9.0;
             let (star_ref, clique_ref) = reference_graphs(&txns, likelihood);
-            let star = StarGraph::build(&txns, likelihood, |_| 1.0, LoadMetric::Records, 1e-4);
-            let (clique, _, _) = build_clique_graph(&txns, |_| 1.0, LoadMetric::Records);
+            let star = star(&txns, likelihood, 1e-4, LoadMetric::Records);
+            let (clique, _) = clique(&txns);
             proptest::prop_assert_eq!(edge_bits(&star.graph), edge_bits(&star_ref));
             proptest::prop_assert_eq!(edge_bits(&clique), edge_bits(&clique_ref));
         }
@@ -519,15 +495,13 @@ mod tests {
     fn star_vs_clique_edge_counts_diverge_for_wide_txns() {
         // A 10-record transaction: star = 10 edges, clique = 45.
         let txn = TxnTrace::new((0..10).map(rid).collect(), vec![]);
-        let sg = StarGraph::build(
+        let sg = star(
             std::slice::from_ref(&txn),
             |_| 0.0,
-            |_| 1.0,
-            LoadMetric::Records,
             0.0,
+            LoadMetric::Records,
         );
-        let (cg, _, _) =
-            build_clique_graph(std::slice::from_ref(&txn), |_| 1.0, LoadMetric::Records);
+        let (cg, _) = clique(std::slice::from_ref(&txn));
         assert_eq!(sg.graph.num_edges(), 10);
         assert_eq!(cg.num_edges(), 45);
     }

@@ -3,8 +3,9 @@
 //! Contention-aware data partitioning (§4 of the Chiller paper), plus the
 //! baselines it is evaluated against:
 //!
-//! * [`stats`] — the sampling statistics service: collects per-record read
-//!   and write frequencies from a (sampled) workload trace.
+//! * [`stats`] — the sampling statistics service's input: a (sampled)
+//!   workload trace of read/write-sets, and per-record read and write
+//!   counts, which the pipelines count while indexing the trace.
 //! * [`likelihood`] — the Poisson contention-likelihood model
 //!   `Pc = 1 − e^{−λw} − λw·e^{−λw}·e^{−λr}` (§4.1).
 //! * [`graph`] — workload-graph representations: Chiller's **star** graph
@@ -33,4 +34,4 @@ pub use graph::{Graph, LoadMetric, StarGraph};
 pub use likelihood::{contention_likelihood, ContentionModel};
 pub use metis::{MetisLike, PartitionResult};
 pub use schism::SchismPartitioner;
-pub use stats::{RecordStats, StatsCollector, TxnTrace, WorkloadTrace};
+pub use stats::{RecordStats, TxnTrace, WorkloadTrace};

@@ -12,7 +12,7 @@
 //! Note the properties the paper calls out: `Pc = 0` when `λw = 0` (shared
 //! locks never conflict), and for `λw > 0`, `Pc` grows with `λr`.
 
-use crate::stats::{RecordStats, StatsCollector};
+use crate::stats::RecordStats;
 use chiller_common::ids::RecordId;
 
 /// Evaluate the closed-form contention likelihood.
@@ -54,30 +54,9 @@ impl ContentionModel {
     pub fn likelihood(&self, stats: RecordStats) -> f64 {
         contention_likelihood(self.lambda(stats.writes), self.lambda(stats.reads))
     }
-
-    /// Likelihoods for every record a collector has seen, unsorted.
-    pub fn all_likelihoods(&self, collector: &StatsCollector) -> Vec<(RecordId, f64)> {
-        collector
-            .records()
-            .map(|(r, s)| (*r, self.likelihood(*s)))
-            .collect()
-    }
-
-    /// Records whose likelihood passes `threshold`, sorted by likelihood
-    /// descending (ties by id) — the hot set that populates the lookup
-    /// table (§4.4).
-    pub fn hot_records(&self, collector: &StatsCollector, threshold: f64) -> Vec<(RecordId, f64)> {
-        let mut v: Vec<(RecordId, f64)> = self
-            .all_likelihoods(collector)
-            .into_iter()
-            .filter(|(_, p)| *p >= threshold)
-            .collect();
-        v.sort_by(hottest_first);
-        v
-    }
 }
 
-/// The hot set's order: likelihood descending, ties by record id.
+/// The hot set's order (§4.4): likelihood descending, ties by record id.
 pub(crate) fn hottest_first(a: &(RecordId, f64), b: &(RecordId, f64)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0))
 }
@@ -85,8 +64,6 @@ pub(crate) fn hottest_first(a: &(RecordId, f64), b: &(RecordId, f64)) -> std::cm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::TxnTrace;
-    use chiller_common::ids::TableId;
 
     #[test]
     fn zero_writes_means_zero_contention() {
@@ -150,28 +127,5 @@ mod tests {
         let m = ContentionModel::new(1_000.0, 1_000_000.0);
         // 2000 writes over 1ms window, 1us lock window → λw = 2.
         assert!((m.lambda(2_000.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hot_records_filter_and_order() {
-        let rid = |k| RecordId::new(TableId(1), k);
-        let mut c = StatsCollector::new();
-        // Record 1: very hot (many writes); record 2: warm; record 3: cold.
-        for _ in 0..1_000 {
-            c.observe(&TxnTrace::new(vec![], vec![rid(1)]));
-        }
-        for _ in 0..100 {
-            c.observe(&TxnTrace::new(vec![], vec![rid(2)]));
-        }
-        c.observe(&TxnTrace::new(vec![rid(3)], vec![]));
-        let m = ContentionModel::new(10_000.0, 1_000_000.0);
-        // λw(rec1) = 10 → Pc ≈ 1; λw(rec2) = 1 → Pc = 1 − 2/e ≈ 0.264.
-        let hot = m.hot_records(&c, 0.5);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].0, rid(1));
-        let warm = m.hot_records(&c, 0.0001);
-        assert_eq!(warm.len(), 2, "read-only record must stay cold");
-        assert_eq!(warm[0].0, rid(1));
-        assert_eq!(warm[1].0, rid(2));
     }
 }

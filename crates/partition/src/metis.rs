@@ -52,6 +52,13 @@ impl PartitionResult {
     }
 }
 
+/// Coarsening stops once the graph has at most this many vertices per
+/// part, or at most 64.
+const COARSEN_TARGET_PER_PART: usize = 30;
+
+/// Maximum FM passes per level.
+const MAX_PASSES: usize = 8;
+
 /// Configuration + entry point.
 #[derive(Debug, Clone)]
 pub struct MetisLike {
@@ -61,23 +68,13 @@ pub struct MetisLike {
     /// weight (see the module doc). ε ≥ k − 1 disables the constraint.
     pub epsilon: f64,
     pub seed: u64,
-    /// Stop coarsening below this many vertices (scaled by k).
-    pub coarsen_target_per_part: usize,
-    /// Maximum FM passes per level.
-    pub max_passes: usize,
 }
 
 impl MetisLike {
     pub fn new(k: u32, epsilon: f64, seed: u64) -> Self {
         assert!(k >= 1);
         assert!(epsilon >= 0.0);
-        MetisLike {
-            k,
-            epsilon,
-            seed,
-            coarsen_target_per_part: 30,
-            max_passes: 8,
-        }
+        MetisLike { k, epsilon, seed }
     }
 
     /// Partition `g` into `k` parts.
@@ -95,7 +92,7 @@ impl MetisLike {
 
         // --- Coarsening ---------------------------------------------------
         // `maps[i]` maps level i's graph onto `coarse[i]`; level 0 is `g`.
-        let target = (self.coarsen_target_per_part * self.k as usize).max(64);
+        let target = (COARSEN_TARGET_PER_PART * self.k as usize).max(64);
         let mut coarse: Vec<Graph> = Vec::new();
         let mut maps: Vec<Vec<u32>> = Vec::new();
         loop {
@@ -121,25 +118,19 @@ impl MetisLike {
         // two co-accessed hub records stuck on opposite sides because every
         // individually-beneficial move violates balance).
         let mut assignment = greedy_grow(current, self.k, self.seed);
-        for _ in 0..self.max_passes {
+        for _ in 0..MAX_PASSES {
             if !fm_rollback_pass(current, &mut assignment, self.k, self.epsilon) {
                 break;
             }
         }
-        refine(
-            current,
-            &mut assignment,
-            self.k,
-            self.epsilon,
-            self.max_passes,
-        );
+        refine(current, &mut assignment, self.k, self.epsilon);
 
         // --- Uncoarsen + refine --------------------------------------------
         while let Some(map) = maps.pop() {
             coarse.pop(); // the graph `map` projects from
             let fine = coarse.last().unwrap_or(g);
             assignment = map.iter().map(|&cv| assignment[cv as usize]).collect();
-            refine(fine, &mut assignment, self.k, self.epsilon, self.max_passes);
+            refine(fine, &mut assignment, self.k, self.epsilon);
         }
         debug_assert_eq!(assignment.len(), n);
         self.finish(g, assignment)
@@ -553,7 +544,7 @@ fn fm_rollback_pass(g: &Graph, assignment: &mut [u32], k: u32, epsilon: f64) -> 
 
 /// Boundary FM refinement: greedy connectivity-gain moves under the balance
 /// ceiling. Mutates `assignment` in place.
-fn refine(g: &Graph, assignment: &mut [u32], k: u32, epsilon: f64, max_passes: usize) {
+fn refine(g: &Graph, assignment: &mut [u32], k: u32, epsilon: f64) {
     let n = g.num_vertices();
     let total = g.total_vertex_weight();
     let mu = total / k as f64;
@@ -565,7 +556,7 @@ fn refine(g: &Graph, assignment: &mut [u32], k: u32, epsilon: f64, max_passes: u
     }
 
     let mut conn = vec![0.0f64; k as usize];
-    for _pass in 0..max_passes {
+    for _pass in 0..MAX_PASSES {
         let mut moved = 0usize;
         for v in 0..n {
             if g.adj[v].is_empty() {

@@ -42,7 +42,7 @@ impl SchismPartitioner {
 
     pub fn partition(&self, trace: &WorkloadTrace) -> SchismPartitioning {
         let index = TraceIndex::new(&trace.txns);
-        let graph = clique_graph(&index, self.load_metric, |v| index.accesses(v));
+        let graph = clique_graph(&index, self.load_metric);
         let result = MetisLike::new(self.k, self.epsilon, self.seed).partition(&graph);
 
         let map: HashMap<RecordId, PartitionId> = index

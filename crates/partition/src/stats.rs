@@ -1,15 +1,12 @@
-//! The sampling statistics service (§4.1, first paragraph).
+//! The sampling statistics service's input (§4.1, first paragraph).
 //!
 //! Each partition manager samples running transactions and periodically
 //! ships the read- and write-sets of the most frequently accessed records to
-//! a global statistics service. Here the service is a [`StatsCollector`]
-//! that consumes a [`WorkloadTrace`] (optionally sampled) and aggregates
-//! per-record access frequencies for a time window.
+//! a global statistics service. Here a [`WorkloadTrace`] holds those sampled
+//! read/write-sets for a time window; the partitioners count each record's
+//! reads and writes into [`RecordStats`] while they index the trace.
 
 use chiller_common::ids::RecordId;
-use chiller_common::rng::seeded;
-use rand::Rng;
-use std::collections::HashMap;
 
 /// One sampled transaction: its read set and write set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -50,111 +47,13 @@ impl WorkloadTrace {
     pub fn new(txns: Vec<TxnTrace>, window_ns: u64) -> Self {
         WorkloadTrace { txns, window_ns }
     }
-
-    /// Uniformly subsample with the given rate (the paper finds 0.1%
-    /// sufficient). The effective transaction *rate* is preserved by
-    /// scaling counts at aggregation time via the returned trace's
-    /// `sample_inverse`.
-    pub fn sampled(&self, rate: f64, seed: u64) -> (WorkloadTrace, f64) {
-        assert!((0.0..=1.0).contains(&rate));
-        let mut rng = seeded(seed);
-        let txns: Vec<TxnTrace> = self
-            .txns
-            .iter()
-            .filter(|_| rng.gen::<f64>() < rate)
-            .cloned()
-            .collect();
-        (
-            WorkloadTrace {
-                txns,
-                window_ns: self.window_ns,
-            },
-            if rate > 0.0 { 1.0 / rate } else { 0.0 },
-        )
-    }
 }
 
-/// Aggregated per-record counters.
+/// A record's read and write counts over a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecordStats {
     pub reads: f64,
     pub writes: f64,
-}
-
-/// Aggregates traces into per-record access frequencies.
-#[derive(Debug, Default)]
-pub struct StatsCollector {
-    counts: HashMap<RecordId, RecordStats>,
-    txns_seen: u64,
-    /// Multiplier applied to each sampled observation (inverse sample rate).
-    scale: f64,
-}
-
-impl StatsCollector {
-    pub fn new() -> Self {
-        StatsCollector {
-            counts: HashMap::new(),
-            txns_seen: 0,
-            scale: 1.0,
-        }
-    }
-
-    /// Collector for a trace that represents a `1/scale` sample of the
-    /// real workload.
-    pub fn with_scale(scale: f64) -> Self {
-        StatsCollector {
-            counts: HashMap::new(),
-            txns_seen: 0,
-            scale,
-        }
-    }
-
-    pub fn observe(&mut self, txn: &TxnTrace) {
-        self.txns_seen += 1;
-        for &r in &txn.reads {
-            self.counts.entry(r).or_default().reads += self.scale;
-        }
-        for &w in &txn.writes {
-            self.counts.entry(w).or_default().writes += self.scale;
-        }
-    }
-
-    pub fn observe_all(&mut self, trace: &WorkloadTrace) {
-        for t in &trace.txns {
-            self.observe(t);
-        }
-    }
-
-    pub fn stats(&self, record: RecordId) -> RecordStats {
-        self.counts.get(&record).copied().unwrap_or_default()
-    }
-
-    pub fn records(&self) -> impl Iterator<Item = (&RecordId, &RecordStats)> {
-        self.counts.iter()
-    }
-
-    pub fn num_records(&self) -> usize {
-        self.counts.len()
-    }
-
-    pub fn txns_seen(&self) -> u64 {
-        self.txns_seen
-    }
-
-    /// The most frequently *written* records, descending — a quick view of
-    /// the contention points (ties broken by record id for determinism).
-    pub fn top_written(&self, n: usize) -> Vec<(RecordId, RecordStats)> {
-        let mut v: Vec<(RecordId, RecordStats)> =
-            self.counts.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by(|a, b| {
-            b.1.writes
-                .partial_cmp(&a.1.writes)
-                .expect("counts are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        v.truncate(n);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -164,72 +63,6 @@ mod tests {
 
     fn rid(k: u64) -> RecordId {
         RecordId::new(TableId(1), k)
-    }
-
-    #[test]
-    fn observe_counts_reads_and_writes() {
-        let mut c = StatsCollector::new();
-        c.observe(&TxnTrace::new(vec![rid(1), rid(2)], vec![rid(1)]));
-        c.observe(&TxnTrace::new(vec![], vec![rid(1)]));
-        assert_eq!(
-            c.stats(rid(1)),
-            RecordStats {
-                reads: 1.0,
-                writes: 2.0
-            }
-        );
-        assert_eq!(
-            c.stats(rid(2)),
-            RecordStats {
-                reads: 1.0,
-                writes: 0.0
-            }
-        );
-        assert_eq!(c.stats(rid(9)), RecordStats::default());
-        assert_eq!(c.txns_seen(), 2);
-    }
-
-    #[test]
-    fn scale_amplifies_sampled_counts() {
-        let mut c = StatsCollector::with_scale(1000.0);
-        c.observe(&TxnTrace::new(vec![], vec![rid(1)]));
-        assert_eq!(c.stats(rid(1)).writes, 1000.0);
-    }
-
-    #[test]
-    fn top_written_orders_descending() {
-        let mut c = StatsCollector::new();
-        for _ in 0..5 {
-            c.observe(&TxnTrace::new(vec![], vec![rid(7)]));
-        }
-        for _ in 0..2 {
-            c.observe(&TxnTrace::new(vec![], vec![rid(3)]));
-        }
-        let top = c.top_written(2);
-        assert_eq!(top[0].0, rid(7));
-        assert_eq!(top[1].0, rid(3));
-    }
-
-    #[test]
-    fn sampling_preserves_rate_statistically() {
-        let trace = WorkloadTrace::new(
-            (0..10_000)
-                .map(|i| TxnTrace::new(vec![rid(i % 10)], vec![]))
-                .collect(),
-            1_000,
-        );
-        let (sampled, inv) = trace.sampled(0.1, 42);
-        assert!(inv == 10.0);
-        let n = sampled.txns.len();
-        assert!((800..1_200).contains(&n), "sampled {n} of 10000 at 10%");
-        // Scaled aggregation approximates the full counts.
-        let mut full = StatsCollector::new();
-        full.observe_all(&trace);
-        let mut est = StatsCollector::with_scale(inv);
-        est.observe_all(&sampled);
-        let f = full.stats(rid(1)).reads;
-        let e = est.stats(rid(1)).reads;
-        assert!((e - f).abs() / f < 0.25, "estimate {e} vs full {f}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A minimal JSON document model, parser, and renderer.
 //!
 //! This exists so the workspace can *validate* the JSON it emits by hand
-//! (the derive shims are no-ops, so exporters hand-roll their output). The
+//! (nothing derives serializers, so exporters hand-roll their output). The
 //! parser is a strict recursive-descent implementation of RFC 8259 minus
 //! `\u` surrogate-pair pedantry; the renderer round-trips whatever parsed.
 //! Object key order is preserved (keys live in a `Vec`), so

@@ -1,24 +1,7 @@
-//! Offline stand-in for `serde`: marker traits plus no-op derives, plus a
-//! small self-contained [`json`] module.
-//!
-//! Nothing in the workspace serializes values through the traits yet — the
-//! derives on config and metric types exist so downstream tooling can switch
-//! to the real `serde` by flipping the path dependency. The derive macros
-//! (from the sibling `serde_derive` shim) expand to nothing, so these traits
-//! are *not* implemented by deriving types; don't write bounds against them.
-//!
-//! The [`json`] module is real, though: a recursive-descent JSON parser and
-//! renderer used to round-trip-validate the JSON this workspace emits by
-//! hand (bench result files, Chrome trace exports — DESIGN §13).
-
-pub use serde_derive::{Deserialize, Serialize};
+//! Offline stand-in for `serde`: a small self-contained [`json`] module —
+//! a recursive-descent JSON parser and renderer used to
+//! round-trip-validate the JSON this workspace emits by hand (bench result
+//! files, Chrome trace exports — DESIGN §13). Nothing in the workspace
+//! derives serde's traits, so the shim does not define them.
 
 pub mod json;
-
-pub trait Serialize {}
-
-pub trait Deserialize<'de>: Sized {}
-
-/// Owned-deserialization alias mirroring serde's.
-pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
-impl<T> DeserializeOwned for T where T: for<'de> Deserialize<'de> {}

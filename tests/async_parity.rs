@@ -1,7 +1,8 @@
-//! Async-backend differential parity suite.
+//! Wall-clock backend differential parity suite.
 //!
 //! The async backend multiplexes engines onto a fixed worker pool against
-//! a wall clock, so its runs are *not* byte-reproducible — parity with
+//! a wall clock (`Backend::Threaded` is the same pool at one worker per
+//! engine), so its runs are *not* byte-reproducible — parity with
 //! the deterministic simulator is instead established differentially:
 //! for each seed and protocol, the async run and the simulated oracle
 //! run must both uphold the full serializability contract at quiescence
@@ -11,32 +12,19 @@
 //! violated invariant on the async side that the oracle side rules out
 //! as a workload/protocol problem.
 
+#[path = "support/contended.rs"]
+mod contended;
+
 use chiller::cluster::RunSpec;
 use chiller::prelude::*;
 use chiller_workload::transfer::{self, assert_serializability_invariants, TransferConfig};
+use contended::{assert_survives_repeated_run_windows, contended_config, sim_config, NODES};
 
-const NODES: usize = 4;
-
-fn contended_config() -> TransferConfig {
-    TransferConfig {
-        accounts: 400,
-        hot_set: 8,
-        hot_fraction: 0.5,
-    }
-}
-
-fn sim_config(seed: u64, concurrency: usize) -> SimConfig {
-    let mut sim = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    sim.engine.concurrency = concurrency;
-    sim
-}
-
-/// Run one protocol on the async backend with an explicit pool size,
-/// quiesce, and return the cluster plus its report.
-fn run_async(
+/// Run one protocol on a wall-clock backend (`workers` sizes the async
+/// backend's pool; the threaded backend ignores it), quiesce, and return
+/// the cluster plus its report.
+fn run_on(
+    backend: Backend,
     protocol: Protocol,
     seed: u64,
     workers: usize,
@@ -44,9 +32,9 @@ fn run_async(
 ) -> (Cluster, RunReport) {
     let cfg = contended_config();
     let mut b = transfer::builder(&cfg, NODES, protocol, sim_config(seed, 4));
-    b.runtime(Backend::Async).workers(workers);
+    b.runtime(backend).workers(workers);
     let mut cluster = b.build().unwrap();
-    assert_eq!(cluster.backend(), Backend::Async);
+    assert_eq!(cluster.backend(), backend);
     let report = cluster.run(RunSpec::millis(10, measure_ms));
     cluster.quiesce();
     (cluster, report)
@@ -61,7 +49,7 @@ fn async_and_simulated_uphold_the_same_contract_per_seed() {
             let cfg = contended_config();
 
             // Async side: real pool, wall clock.
-            let (cluster, report) = run_async(protocol, seed, 2, 120);
+            let (cluster, report) = run_on(Backend::Async, protocol, seed, 2, 120);
             assert!(
                 report.total_commits() > 0,
                 "{protocol} seed {seed}: async backend committed nothing — {}",
@@ -97,7 +85,7 @@ fn async_and_simulated_uphold_the_same_contract_per_seed() {
 /// the measured window tracks wall time like the threaded backend's.
 #[test]
 fn async_reports_are_labelled_with_backend_and_workers() {
-    let (_, report) = run_async(Protocol::Chiller, 17, 2, 80);
+    let (_, report) = run_on(Backend::Async, Protocol::Chiller, 17, 2, 80);
     assert_eq!(report.backend, Backend::Async);
     assert_eq!(report.workers, 2, "report must carry the pool size");
     let elapsed_ms = report.elapsed.as_nanos() as f64 / 1e6;
@@ -126,7 +114,7 @@ fn async_reports_are_labelled_with_backend_and_workers() {
 fn every_pool_size_upholds_invariants() {
     let cfg = contended_config();
     for workers in [1usize, 2, NODES] {
-        let (cluster, report) = run_async(Protocol::Chiller, 23, workers, 100);
+        let (cluster, report) = run_on(Backend::Async, Protocol::Chiller, 23, workers, 100);
         assert!(
             report.total_commits() > 0,
             "{workers}-worker pool committed nothing"
@@ -136,24 +124,48 @@ fn every_pool_size_upholds_invariants() {
     }
 }
 
-/// Pause/resume across run windows on the async backend: in-flight work
-/// must survive each pause (run → run_more → quiesce) without losing
-/// messages or leaking locks — the phase-boundary moves of engines in
-/// and out of the worker pool are the mechanism under test.
+/// The threaded backend under every protocol: the same contract under
+/// real parallelism, one worker per engine.
+#[test]
+fn threaded_backend_upholds_invariants_under_all_protocols() {
+    for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
+        let (cluster, report) = run_on(Backend::Threaded, protocol, 11, NODES, 150);
+        assert!(
+            report.total_commits() > 0,
+            "{protocol}: no transactions committed on the threaded backend — {}",
+            report.summary()
+        );
+        assert_serializability_invariants(
+            &cluster,
+            &contended_config(),
+            &format!("{protocol} (threaded)"),
+        );
+    }
+}
+
+#[test]
+fn threaded_reports_are_labelled_and_wall_clocked() {
+    let (_, report) = run_on(Backend::Threaded, Protocol::Chiller, 11, NODES, 80);
+    assert_eq!(report.backend, Backend::Threaded);
+    // On the threaded backend the measured window *is* wall time: the two
+    // clocks must agree to well within the scheduling slop of a pause.
+    let elapsed_ms = report.elapsed.as_nanos() as f64 / 1e6;
+    let wall_ms = report.wall_elapsed.as_secs_f64() * 1e3;
+    assert!(
+        (elapsed_ms - wall_ms).abs() < 50.0,
+        "threaded elapsed ({elapsed_ms:.1}ms) and wall ({wall_ms:.1}ms) diverged"
+    );
+    assert!(
+        report.wall_throughput() > 0.0,
+        "wall throughput must be measurable"
+    );
+}
+
+/// Run windows on the async backend (2 workers); the threaded backend's
+/// run is `tests/threaded_stress.rs`.
 #[test]
 fn async_backend_survives_repeated_run_windows() {
-    let cfg = contended_config();
-    let mut b = transfer::builder(&cfg, NODES, Protocol::Chiller, sim_config(23, 4));
-    b.runtime(Backend::Async).workers(2);
-    let mut cluster = b.build().unwrap();
-    let first = cluster.run(RunSpec::millis(5, 40));
-    let more = cluster.run_more(Duration::from_millis(40));
-    assert!(
-        first.total_commits() + more.total_commits() > 0,
-        "windows must commit work"
-    );
-    cluster.quiesce();
-    assert_serializability_invariants(&cluster, &cfg, "chiller windows (async)");
+    assert_survives_repeated_run_windows(Backend::Async);
 }
 
 /// The serializability checker on the async backend, two seeds. Engines

@@ -109,13 +109,14 @@ fn identical_seeds_yield_byte_identical_engine_reports() {
 }
 
 /// Build a transfer cluster whose hot set jumps from accounts 0..8 to
-/// 200..208 at 3ms, with the online-adaptation loop on: by end of run the
-/// planner must have detected the new hot set and migrated records.
-fn adaptive_shifting_cluster(seed: u64, concurrency: usize) -> Cluster {
+/// 200..208 at 3ms, with the online-adaptation loop on (1 ms epochs, every
+/// `sample_every`-th commit sampled): by end of run the planner must have
+/// detected the new hot set and migrated records.
+fn adaptive_shifting_cluster(seed: u64, concurrency: usize, sample_every: u64) -> Cluster {
     let cfg = contended_config();
     let adaptive = AdaptiveConfig {
         epoch: Duration::from_millis(1),
-        sample_every: 1,
+        sample_every,
         min_window_txns: 100,
         ..AdaptiveConfig::default()
     };
@@ -132,7 +133,7 @@ fn adaptive_shifting_cluster(seed: u64, concurrency: usize) -> Cluster {
 
 #[test]
 fn adaptive_migrations_preserve_balance_locks_and_replicas() {
-    let mut cluster = adaptive_shifting_cluster(19, 4);
+    let mut cluster = adaptive_shifting_cluster(19, 4, 1);
     let report = cluster.run(RunSpec::millis(1, 12));
     assert!(report.total_commits() > 100, "{}", report.summary());
     assert!(
@@ -187,7 +188,7 @@ fn adaptive_migrations_preserve_balance_locks_and_replicas() {
 #[test]
 fn adaptive_runs_are_byte_identical_per_seed() {
     let run = |seed| {
-        let mut cluster = adaptive_shifting_cluster(seed, 3);
+        let mut cluster = adaptive_shifting_cluster(seed, 3, 1);
         let report = cluster.run(RunSpec::millis(1, 10));
         (report_bytes(&report), report.migrations_completed())
     };
@@ -200,6 +201,49 @@ fn adaptive_runs_are_byte_identical_per_seed() {
     );
     let (c, _) = run(43);
     assert_ne!(a, c, "seed is being ignored somewhere in the adaptive path");
+}
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The adaptive loop's outcome pinned bit for bit: per-node reports, the
+/// control plane's counters, the directory's entries and its hot set. Two
+/// runs: the shifting hot set of the determinism test above, and a longer
+/// one with 1-in-2 sampling whose old hot set cools enough to be demoted.
+/// A change to what the monitor samples or what the planner computes from
+/// the samples moves a digest.
+#[test]
+fn adaptive_outcomes_are_pinned() {
+    let digest = |seed, concurrency, sample_every, measure_ms| {
+        let mut cluster = adaptive_shifting_cluster(seed, concurrency, sample_every);
+        let report = cluster.run(RunSpec::millis(1, measure_ms));
+        let stats = cluster.adaptive_stats();
+        let dir = cluster.directory().expect("adaptive cluster");
+        let rendered = format!(
+            "{:?}|{:?}|{:?}|{:?}",
+            report.per_node,
+            stats,
+            dir.entries_snapshot(),
+            dir.hot_snapshot()
+        );
+        (fnv1a(&rendered), stats)
+    };
+    let (shift, _) = digest(42, 3, 1, 10);
+    let (demoting, stats) = digest(7, 4, 2, 30);
+    assert!(
+        stats.demotions > 0,
+        "the pin must cover demotions: {stats:?}"
+    );
+    let digests = [shift, demoting];
+    assert_eq!(
+        digests,
+        [0x4e81_302c_e413_5877, 0xfeca_cfff_b2b5_73d6],
+        "{digests:#018x?}"
+    );
 }
 
 /// Determinism regression for the runtime-trait extraction: routing the
