@@ -84,10 +84,11 @@ impl AdaptivePlanner {
     /// Replan over the current window and diff against `dir`. Records in
     /// `in_flight` (migrations still running) are never re-planned.
     pub fn plan(&self, dir: &Directory, in_flight: &HashSet<RecordId>) -> MigrationPlan {
-        let txns: Vec<TxnTrace> = self.window.iter().flatten().cloned().collect();
-        if txns.len() < self.cfg.min_window_txns {
+        // Count before copying: an epoch that plans nothing copies nothing.
+        if self.window.iter().map(Vec::len).sum::<usize>() < self.cfg.min_window_txns {
             return MigrationPlan::default();
         }
+        let txns: Vec<TxnTrace> = self.window.iter().flatten().cloned().collect();
 
         // Samples are 1-in-k of the real stream: shrink the window span so
         // the model sees true arrival rates.

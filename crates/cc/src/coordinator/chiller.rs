@@ -147,7 +147,7 @@ fn send_inner(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: 
         .filter(|(_, s)| **s == GuardSite::Inner)
         .map(|(i, _)| i)
         .collect();
-    if NodeId(host.0) != eng.node && eng.tracer.full() {
+    if NodeId(host.0) != eng.node && eng.tracer.enabled() {
         eng.tracer.record(
             ctx.now().as_nanos(),
             eng.node,

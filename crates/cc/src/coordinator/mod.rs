@@ -191,13 +191,9 @@ pub struct Coord {
     /// Retry bookkeeping (attempts includes the current one).
     pub(crate) attempts: u32,
     pub(crate) first_start: SimTime,
-    /// Whether this attempt records lifecycle trace events (decided once
-    /// at admission from the tracer's sampling mode).
-    pub(crate) traced: bool,
 }
 
 impl Coord {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         slot: usize,
         input: TxnInput,
@@ -206,7 +202,6 @@ impl Coord {
         split: RegionSplit,
         prior_attempts: u32,
         first_start: SimTime,
-        traced: bool,
     ) -> Self {
         let n = proc.num_ops();
         let num_guards = proc.guards.len();
@@ -231,7 +226,6 @@ impl Coord {
             validated_ok: Vec::new(),
             attempts: prior_attempts + 1,
             first_start,
-            traced,
         }
     }
 }
@@ -447,7 +441,7 @@ fn issue_wave(
         let msg = strategy.wave_message(coord, txn, req, &op_ids);
         coord.inflight.insert(req, op_ids);
         let verb = msg.verb();
-        if target != eng.node && eng.tracer.full() {
+        if target != eng.node && eng.tracer.enabled() {
             let label = msg.kind_label();
             eng.tracer.record(
                 ctx.now().as_nanos(),
@@ -543,7 +537,7 @@ pub(crate) fn finish_commit(
     }
     let latency = ctx.now().saturating_since(coord.first_start);
     eng.metrics.latency.record_duration(latency);
-    if coord.traced {
+    if eng.tracer.enabled() {
         eng.tracer.record(
             ctx.now().as_nanos(),
             eng.node,
@@ -598,7 +592,7 @@ pub(crate) fn abort_attempt(
     let name = eng.proc_name(&coord.input);
     let slot = coord.slot;
     coord.phase = Phase::Done;
-    if coord.traced {
+    if eng.tracer.enabled() {
         let reason = match kind {
             FailKind::Transient(r) => Some(r),
             FailKind::Logic => None,
@@ -629,7 +623,7 @@ pub(crate) fn abort_attempt(
                 );
                 let backoff =
                     eng.schedule_retry(ctx, slot, input, coord.attempts, coord.first_start);
-                if coord.traced {
+                if eng.tracer.enabled() {
                     eng.tracer.record(
                         ctx.now().as_nanos(),
                         eng.node,

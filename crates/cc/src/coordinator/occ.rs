@@ -156,7 +156,7 @@ fn send_validate(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coor
     }
     for (part, items) in by_partition(items) {
         let target = NodeId(part.0);
-        if target != eng.node && eng.tracer.full() {
+        if target != eng.node && eng.tracer.enabled() {
             eng.tracer.record(
                 ctx.now().as_nanos(),
                 eng.node,

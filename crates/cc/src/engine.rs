@@ -394,8 +394,7 @@ impl EngineActor {
         ctx.use_cpu(self.txn_cpu());
         self.txn_seq += 1;
         let txn = TxnId::new(self.node, self.txn_seq);
-        let traced = self.tracer.traces_txn(self.txn_seq);
-        if traced {
+        if self.tracer.enabled() {
             self.tracer.record(
                 ctx.now().as_nanos(),
                 self.node,
@@ -410,16 +409,7 @@ impl EngineActor {
         let exec = ExecState::new(input.params.clone(), proc.num_ops());
         let strategy = self.strategy;
         let split = strategy.admission_split(self, &proc, &exec);
-        let mut coord = Coord::new(
-            slot,
-            input,
-            proc,
-            exec,
-            split,
-            prior_attempts,
-            first_start,
-            traced,
-        );
+        let mut coord = Coord::new(slot, input, proc, exec, split, prior_attempts, first_start);
         coordinator::drive(self, ctx, txn, &mut coord);
         if coord.phase != Phase::Done {
             self.txns.insert(txn, coord);
@@ -437,7 +427,7 @@ impl Actor<Msg> for EngineActor {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, src: NodeId, _verb: Verb, msg: Msg) {
-        if src != self.node && self.tracer.full() {
+        if src != self.node && self.tracer.enabled() {
             self.tracer.record(
                 ctx.now().as_nanos(),
                 self.node,

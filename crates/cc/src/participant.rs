@@ -49,7 +49,7 @@ impl EngineActor {
                     .cold_contention_span
                     .record_duration(rel.held_for);
             }
-            if self.tracer.full() {
+            if self.tracer.enabled() {
                 self.tracer.record(
                     now.as_nanos(),
                     self.node,
@@ -63,9 +63,9 @@ impl EngineActor {
         }
     }
 
-    /// Trace a granted NO_WAIT lock (full mode only; participant side).
+    /// Trace a granted NO_WAIT lock (participant side).
     pub(crate) fn trace_lock_acquire(&mut self, rid: RecordId, txn: TxnId, now: SimTime) {
-        if self.tracer.full() {
+        if self.tracer.enabled() {
             let hot = self.hot.contains(&rid);
             self.tracer.record(
                 now.as_nanos(),

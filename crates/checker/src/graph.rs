@@ -1,4 +1,4 @@
-//! Dependency-graph construction, windowed cycle search, and anomaly
+//! Dependency-graph construction, cycle search, and anomaly
 //! classification.
 
 use crate::mode::CheckMode;
@@ -99,12 +99,10 @@ pub struct CheckReport {
     pub mode: CheckMode,
     /// Committed transactions considered.
     pub txns: usize,
-    /// Windows searched.
-    pub windows: usize,
-    /// Dependency edges built (summed across windows; overlapping windows
-    /// count shared edges twice).
+    /// Dependency edges built.
     pub edges: usize,
-    /// Dependency cycles found, deduplicated across windows.
+    /// Dependency cycles found, at most one per strongly connected
+    /// component of the dependency graph.
     pub violations: Vec<Violation>,
     /// Observations lost before the check. Always 0: engines record the
     /// history uncapped. Kept so callers that gate on
@@ -128,10 +126,9 @@ impl CheckReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "check[{}]: {} txns, {} windows, {} edges, {} violations, {} dropped",
+            "check[{}]: {} txns, {} edges, {} violations, {} dropped",
             self.mode.label(),
             self.txns,
-            self.windows,
             self.edges,
             self.violations.len(),
             self.events_dropped
@@ -140,49 +137,25 @@ impl CheckReport {
 }
 
 /// Check a committed history (already assembled and commit-ordered) for
-/// dependency cycles under `mode`. `CheckMode::Off` checks nothing and
+/// dependency cycles under `mode`: build per-record edges over the whole
+/// history, then one SCC pass. `CheckMode::Off` checks nothing and
 /// reports vacuous success.
 pub fn check(txns: &[CommittedTxn], mode: CheckMode) -> CheckReport {
     let mut report = CheckReport {
         mode,
         txns: txns.len(),
-        windows: 0,
         edges: 0,
         violations: Vec::new(),
         events_dropped: 0,
     };
-    let window = match mode {
-        CheckMode::Off => return report,
-        CheckMode::Full => txns.len().max(1),
-        CheckMode::Window(n) => n.max(2),
-    };
-    let stride = (window / 2).max(1);
-    let mut seen_cycles: HashSet<Vec<TxnId>> = HashSet::new();
-    let mut start = 0;
-    loop {
-        let end = (start + window).min(txns.len());
-        report.windows += 1;
-        check_window(&txns[start..end], &mut report, &mut seen_cycles);
-        if end >= txns.len() {
-            break;
-        }
-        start += stride;
+    if mode == CheckMode::Off {
+        return report;
     }
-    report
-}
-
-/// Per-window edge construction + SCC cycle search. Indices below are
-/// positions within `txns` (the window slice).
-fn check_window(
-    txns: &[CommittedTxn],
-    report: &mut CheckReport,
-    seen_cycles: &mut HashSet<Vec<TxnId>>,
-) {
     let n = txns.len();
     // Per-record version chains over the *observed* writes. Versions may
-    // have gaps (writes of aborted-then-bumped loads never exist; writes
-    // outside the window are invisible), so "next version" means the next
-    // observed one, which only weakens — never falsifies — the edges.
+    // have gaps (writes of aborted-then-bumped loads never exist), so
+    // "next version" means the next observed one, which only weakens —
+    // never falsifies — the edges.
     let mut writers: HashMap<RecordId, Vec<(u64, usize)>> = HashMap::new();
     for (i, t) in txns.iter().enumerate() {
         for &(r, v) in &t.writes {
@@ -255,16 +228,10 @@ fn check_window(
         let Some((cycle, edges)) = extract_cycle(&adj, &scc) else {
             continue;
         };
-        let mut key: Vec<TxnId> = cycle.iter().map(|&i| txns[i].txn).collect();
-        let cycle_txns = key.clone();
-        key.sort_unstable();
-        if !seen_cycles.insert(key) {
-            continue;
-        }
         let anomaly = classify(&adj, &cycle);
         report.violations.push(Violation {
             anomaly,
-            cycle: cycle_txns,
+            cycle: cycle.iter().map(|&i| txns[i].txn).collect(),
             edges: edges
                 .iter()
                 .map(|&(from, to, kind, record)| DepEdge {
@@ -276,10 +243,11 @@ fn check_window(
                 .collect(),
         });
     }
+    report
 }
 
 /// Iterative Tarjan SCC. Returns components in reverse-topological order;
-/// members are window-local indices.
+/// members are indices into the checked history.
 fn tarjan_sccs(adj: &[Vec<(usize, DepKind, RecordId)>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     const UNSET: usize = usize::MAX;
@@ -523,7 +491,7 @@ mod tests {
         ];
         let rep = check(&txns, CheckMode::Off);
         assert!(rep.ok());
-        assert_eq!(rep.windows, 0);
+        assert_eq!(rep.edges, 0);
     }
 
     #[test]
@@ -539,22 +507,24 @@ mod tests {
     }
 
     #[test]
-    fn windowing_dedupes_overlapping_findings() {
+    fn disjoint_cycles_are_reported_once_each() {
+        // Two lost updates on different records, with a serial pair
+        // between them: one SCC, hence one violation, per anomaly.
         let txns = vec![
             committed(1, 10, vec![(rid(1), 1)], vec![(rid(1), 2)]),
             committed(2, 20, vec![(rid(1), 1)], vec![(rid(1), 3)]),
             committed(3, 30, vec![(rid(2), 0)], vec![(rid(2), 1)]),
             committed(4, 40, vec![(rid(2), 1)], vec![(rid(2), 2)]),
+            committed(5, 50, vec![(rid(3), 1)], vec![(rid(3), 2)]),
+            committed(6, 60, vec![(rid(3), 1)], vec![(rid(3), 3)]),
         ];
-        let rep = check(&txns, CheckMode::Window(2));
-        assert!(rep.windows > 1);
-        assert_eq!(rep.violations.len(), 1, "one deduped violation");
+        let rep = check(&txns, CheckMode::Full);
+        assert_eq!(rep.violations.len(), 2, "{:?}", rep.violations);
     }
 
     #[test]
-    fn window_too_small_can_miss_wide_cycles_by_design() {
-        // The two halves of the lost update commit far apart; a window of
-        // 2 with the anomaly partners never co-resident misses it.
+    fn cycles_far_apart_in_commit_order_are_caught() {
+        // The two halves of the lost update commit far apart.
         let txns = vec![
             committed(1, 10, vec![(rid(1), 1)], vec![(rid(1), 2)]),
             committed(3, 20, vec![(rid(9), 0)], vec![]),
@@ -562,8 +532,7 @@ mod tests {
             committed(5, 40, vec![(rid(9), 0)], vec![]),
             committed(2, 50, vec![(rid(1), 1)], vec![(rid(1), 3)]),
         ];
-        assert!(check(&txns, CheckMode::Window(2)).ok(), "bounded window");
-        assert!(!check(&txns, CheckMode::Full).ok(), "full view catches it");
+        assert!(!check(&txns, CheckMode::Full).ok());
     }
 
     #[test]

@@ -15,17 +15,14 @@
 //!    a fresh `TxnId`, so aborted attempts vanish here without any
 //!    record-time filtering).
 //! 3. [`check`] builds per-record dependency edges — **WR** (read-from),
-//!    **WW** (version order), **RW** (anti-dependency) — over bounded
-//!    sliding windows of the commit order, runs Tarjan's SCC search, and
-//!    classifies every cycle found ([`Anomaly`]): a serializable history
+//!    **WW** (version order), **RW** (anti-dependency) — over the whole
+//!    history, runs one Tarjan SCC pass, and classifies one cycle per
+//!    strongly connected component ([`Anomaly`]): a serializable history
 //!    has an acyclic dependency graph, so any cycle is a violation.
 //!
-//! Windowing ([`CheckMode::Window`]) bounds the cycle search's memory and
-//! time on long histories at the cost of missing cycles wider than a
-//! window (the recorded history itself is O(history) in every mode); windows
-//! overlap by half so neighboring-transaction cycles never straddle a cut.
-//! [`CheckMode::Full`] checks one window covering everything — the right
-//! setting for tests.
+//! [`CheckMode`] is off or full: a check certifies the whole recorded
+//! history or nothing. This crate reads no environment; `CHILLER_CHECK` is
+//! parsed by `chiller`'s cluster builder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +32,7 @@ mod mode;
 mod model;
 
 pub use graph::{check, Anomaly, CheckReport, DepEdge, DepKind, Violation};
-pub use mode::{CheckMode, DEFAULT_CHECK_WINDOW};
+pub use mode::CheckMode;
 pub use model::{assemble, CommittedTxn};
 
 use chiller_obs::History;

@@ -184,34 +184,27 @@ fn cases() -> Vec<Case> {
 fn table_driven_anomaly_classification() {
     for case in cases() {
         let h = history(&case.script);
-        for mode in [CheckMode::Full, CheckMode::Window(64)] {
-            let report = check_history(&h, mode);
-            match case.expect {
-                None => assert!(
-                    report.ok(),
-                    "{} [{}]: expected pass, got {:?}",
+        let report = check_history(&h, CheckMode::Full);
+        match case.expect {
+            None => assert!(
+                report.ok(),
+                "{}: expected pass, got {:?}",
+                case.name,
+                report.violations
+            ),
+            Some(anomaly) => {
+                assert_eq!(
+                    report.violations.len(),
+                    1,
+                    "{}: expected exactly one violation, got {:?}",
                     case.name,
-                    mode.label(),
                     report.violations
-                ),
-                Some(anomaly) => {
-                    assert_eq!(
-                        report.violations.len(),
-                        1,
-                        "{} [{}]: expected exactly one violation, got {:?}",
-                        case.name,
-                        mode.label(),
-                        report.violations
-                    );
-                    assert_eq!(
-                        report.violations[0].anomaly,
-                        anomaly,
-                        "{} [{}]: misclassified: {}",
-                        case.name,
-                        mode.label(),
-                        report.violations[0]
-                    );
-                }
+                );
+                assert_eq!(
+                    report.violations[0].anomaly, anomaly,
+                    "{}: misclassified: {}",
+                    case.name, report.violations[0]
+                );
             }
         }
     }
@@ -247,6 +240,5 @@ fn off_mode_records_nothing_and_passes_everything() {
     let h = history(&[R(1, 1, 1), W(1, 1, 2), R(2, 1, 1), W(2, 1, 3), C(1), C(2)]);
     let report = check_history(&h, CheckMode::Off);
     assert!(report.ok());
-    assert_eq!(report.windows, 0);
     assert_eq!(report.edges, 0);
 }

@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::crash::{self, CrashSnapshot, RecoveryReport};
+use crate::knobs::Knobs;
 use crate::report::RunReport;
 
 /// How long to run a workload: a warm-up window whose metrics are
@@ -33,19 +34,12 @@ use crate::report::RunReport;
 pub struct RunSpec {
     pub warmup: Duration,
     pub measure: Duration,
-    /// Override of the adaptation epoch length for this run (defaults to
-    /// the cluster's `AdaptiveConfig::epoch`; ignored without adaptation).
-    pub epoch: Option<Duration>,
 }
 
 impl RunSpec {
     /// A run of `warmup` (metrics discarded) followed by `measure`.
     pub fn new(warmup: Duration, measure: Duration) -> Self {
-        RunSpec {
-            warmup,
-            measure,
-            epoch: None,
-        }
+        RunSpec { warmup, measure }
     }
 
     /// Convenience: warm-up and measurement in milliseconds of virtual time.
@@ -54,12 +48,6 @@ impl RunSpec {
             Duration::from_millis(warmup_ms),
             Duration::from_millis(measure_ms),
         )
-    }
-
-    /// Override the adaptation epoch length for this run.
-    pub fn with_epoch(mut self, epoch: Duration) -> Self {
-        self.epoch = Some(epoch);
-        self
     }
 }
 
@@ -145,10 +133,11 @@ impl ClusterBuilder {
     }
 
     /// Select the serializability-checking mode (DESIGN.md §14):
-    /// [`CheckMode::Off`] (the default), bounded sliding windows, or the
-    /// full history. When enabled, every engine records the versioned
-    /// reads and installed writes of its transactions into its own
-    /// history log; [`Cluster::check_history`] drains and checks them.
+    /// [`CheckMode::Off`] (the default) or [`CheckMode::Full`], which
+    /// certifies the whole history. When enabled, every engine records
+    /// the versioned reads and installed writes of its transactions into
+    /// its own history log; [`Cluster::check_history`] drains and checks
+    /// them.
     /// Defaults to the `CHILLER_CHECK` environment knob (off when unset);
     /// the builder override wins over the environment.
     pub fn check(&mut self, mode: CheckMode) -> &mut Self {
@@ -157,8 +146,8 @@ impl ClusterBuilder {
     }
 
     /// Select the transaction-lifecycle trace mode (DESIGN.md §13):
-    /// [`TraceMode::Off`] (the default), sampled lifecycle events, or the
-    /// full event stream including lock spans and remote hops. Defaults to
+    /// [`TraceMode::Off`] (the default) or [`TraceMode::Full`], every
+    /// transaction's lifecycle, lock spans and remote hops. Defaults to
     /// the `CHILLER_TRACE` environment knob (off when unset); the builder
     /// override wins over the environment. Drained events are available
     /// via [`Cluster::take_trace`] after a run.
@@ -254,6 +243,7 @@ impl ClusterBuilder {
     /// source, no procedures, records placed off-cluster, adaptation
     /// combined with OCC or a zero epoch).
     pub fn build(self) -> Result<Cluster> {
+        let knobs = Knobs::from_env();
         let source_factory = self
             .source_factory
             .ok_or_else(|| ChillerError::Config("no input source configured".into()))?;
@@ -337,25 +327,18 @@ impl ClusterBuilder {
             })
             .collect();
 
-        // Tracing resolves builder overrides first, then the environment
-        // (`CHILLER_TRACE` / `CHILLER_TRACE_BUF`). When off, every engine
-        // carries a no-op tracer.
-        let trace_mode = self.trace.unwrap_or_else(TraceMode::from_env);
-        let trace_buf = TraceMode::buf_from_env();
-
-        // Serializability checking resolves the same way (`CHILLER_CHECK`).
-        // When off, every engine carries a no-op recorder.
-        let check_mode = self.check.unwrap_or_else(CheckMode::from_env);
-
-        // Durability resolves the same way (`CHILLER_WAL` /
-        // `CHILLER_FSYNC_BATCH`; builder override wins). Opening the logs
+        // Tracing, checking, durability and the pool size resolve builder
+        // overrides first, then the `CHILLER_*` knobs. When off, every
+        // engine carries a no-op tracer and recorder. Opening the logs
         // happens before data load: surviving records or checkpoints mean
         // this build is a restart and must run recovery over the loaded
         // initial state.
-        let durable_dir = self.durable.or_else(wal_dir_from_env);
+        let trace_mode = self.trace.unwrap_or(knobs.trace);
+        let check_mode = self.check.unwrap_or(knobs.check);
+        let durable_dir = self.durable.or(knobs.wal);
         let fsync_batch = self
             .fsync_batch
-            .or_else(fsync_batch_from_env)
+            .or(knobs.fsync_batch)
             .unwrap_or(DEFAULT_FSYNC_BATCH);
         let mut durability: Option<DurableSetup> = match durable_dir {
             None => None,
@@ -499,7 +482,7 @@ impl ClusterBuilder {
                 replicas: reps,
                 source,
                 monitor,
-                tracer: Tracer::new(trace_mode, trace_buf),
+                tracer: Tracer::new(trace_mode, knobs.trace_buf),
                 recorder: HistoryRecorder::new(check_mode.enabled()),
                 wal: wals[n].take(),
                 txn_seq_start,
@@ -520,7 +503,7 @@ impl ClusterBuilder {
             Backend::Async => Box::new(AsyncRuntime::with_config(
                 actors,
                 AsyncConfig {
-                    workers: self.workers,
+                    workers: self.workers.or(knobs.workers),
                     ..AsyncConfig::default()
                 },
             )),
@@ -574,27 +557,6 @@ fn write_epoch(dir: &Path, e: u64) -> Result<()> {
         .map_err(|e| ChillerError::Config(format!("cannot write epoch file: {e}")))
 }
 
-/// `CHILLER_WAL` names the durable directory. Loud on nonsense: an empty
-/// value is a configuration error, not a silent "off".
-fn wal_dir_from_env() -> Option<PathBuf> {
-    let v = std::env::var("CHILLER_WAL").ok()?;
-    assert!(
-        !v.trim().is_empty(),
-        "CHILLER_WAL must name a directory, got an empty value (unset it to disable durability)"
-    );
-    Some(PathBuf::from(v))
-}
-
-/// `CHILLER_FSYNC_BATCH` is the group-commit batch size. Loud on nonsense:
-/// zero or garbage panics instead of silently falling back.
-fn fsync_batch_from_env() -> Option<u64> {
-    let v = std::env::var("CHILLER_FSYNC_BATCH").ok()?;
-    match v.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => panic!("CHILLER_FSYNC_BATCH must be a positive integer, got {v:?}"),
-    }
-}
-
 /// Control-plane state of an adapting cluster.
 struct AdaptiveState {
     cfg: AdaptiveConfig,
@@ -644,19 +606,6 @@ impl Cluster {
     /// scheduler (monitoring starts during warm-up, so the planner has data
     /// by the time measurement begins).
     pub fn run(&mut self, spec: RunSpec) -> RunReport {
-        // `RunSpec::epoch` overrides the epoch length for this run only.
-        let saved_epoch = match (self.adaptive.as_mut(), spec.epoch) {
-            (Some(state), Some(epoch)) => {
-                assert!(
-                    epoch > Duration::ZERO,
-                    "adaptation epoch override must be non-zero"
-                );
-                let saved = state.cfg.epoch;
-                state.cfg.epoch = epoch;
-                Some(saved)
-            }
-            _ => None,
-        };
         let start = self.rt.now();
         // A zero-length warm-up means "no boundary": skip the reset so
         // trace spans recorded at the very first instant are not split
@@ -671,9 +620,6 @@ impl Cluster {
         self.advance(measure_start + spec.measure);
         let wall = wall_start.elapsed();
         let elapsed = self.rt.now() - measure_start;
-        if let (Some(state), Some(saved)) = (self.adaptive.as_mut(), saved_epoch) {
-            state.cfg.epoch = saved;
-        }
         self.collect(elapsed, wall)
     }
 

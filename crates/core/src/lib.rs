@@ -51,6 +51,7 @@
 
 pub mod cluster;
 pub mod crash;
+mod knobs;
 pub mod report;
 
 pub use cluster::{AdaptiveStats, Cluster, ClusterBuilder, RunSpec};
@@ -73,8 +74,6 @@ pub mod prelude {
     pub use chiller_obs::{History, RuntimeTelemetry, TraceLog, TraceMode};
     pub use chiller_simnet::Backend;
     pub use chiller_sproc::{ProcedureBuilder, RegionSplit};
-    pub use chiller_storage::placement::{
-        ExplicitPlacement, HashPlacement, LookupTable, Placement, RangePlacement,
-    };
+    pub use chiller_storage::placement::{HashPlacement, LookupTable, Placement};
     pub use chiller_storage::schema::{KeyPacker, Schema, TableDef};
 }

@@ -201,30 +201,6 @@ fn full_trace_carries_the_whole_lifecycle() {
     assert!(cluster.take_trace().is_empty());
 }
 
-/// Sample mode records lifecycle events for the deterministic 1-in-N
-/// subset and never records lock spans or hops.
-#[test]
-fn sampled_trace_is_lifecycle_only_subset() {
-    let mut full = build_cluster(Protocol::TwoPhaseLocking, 29, Some(TraceMode::Full));
-    let mut sampled = build_cluster(Protocol::TwoPhaseLocking, 29, Some(TraceMode::Sample(16)));
-    full.run(RunSpec::millis(1, 5));
-    sampled.run(RunSpec::millis(1, 5));
-    let full_log = full.take_trace();
-    let sample_log = sampled.take_trace();
-    assert!(!sample_log.is_empty());
-    assert!(sample_log.len() < full_log.len() / 4);
-    for ev in &sample_log.events {
-        assert!(
-            matches!(
-                ev.kind.tag(),
-                "txn_begin" | "txn_retry" | "txn_commit" | "txn_abort"
-            ),
-            "sample mode leaked a {} event",
-            ev.kind.tag()
-        );
-    }
-}
-
 /// The warm-up reset discards warm-up trace events along with metrics.
 #[test]
 fn reset_metrics_discards_warmup_trace() {

@@ -7,13 +7,14 @@
 //!
 //! * **Lifecycle tracing** ([`Tracer`] / [`TraceLog`]): per-transaction spans
 //!   (begin, lock acquire/release, remote hops, abort with a structured
-//!   reason, retry, commit) appended to a plain per-engine `Vec`, capped by
-//!   `CHILLER_TRACE_BUF` between drains, and moved into a [`TraceLog`] by
-//!   the cluster whenever the runtime is paused. Timestamps come from the
-//!   owning runtime's `Clock`, so the simulated backend traces in virtual
-//!   time and stays byte-deterministic. Gated by [`TraceMode`]
-//!   (`CHILLER_TRACE` / `ClusterBuilder::trace`): when off, every record
-//!   call is a branch on a local field and nothing is allocated.
+//!   reason, retry, commit) of every transaction, appended to a plain
+//!   per-engine `Vec`, capped between drains (`CHILLER_TRACE_BUF`), and
+//!   moved into a [`TraceLog`] by the cluster whenever the runtime is
+//!   paused. Timestamps come from the owning runtime's `Clock`, so the
+//!   simulated backend traces in virtual time and stays
+//!   byte-deterministic. [`TraceMode`] is off or full (`CHILLER_TRACE` /
+//!   `ClusterBuilder::trace`): when off, every record call is a branch on
+//!   a local field and nothing is allocated.
 //! * **History recording** ([`HistoryRecorder`] / [`History`]): versioned
 //!   read/write observations plus commits, appended to an uncapped
 //!   per-engine `Vec`, drained the same way, and fed to the black-box
@@ -33,6 +34,9 @@
 //! engine, nestable async spans per transaction attempt, lock-hold spans as
 //! complete events). `RunReport::prometheus()` in `chiller` renders the
 //! counter side as a Prometheus-style plain-text dump.
+//!
+//! This crate reads no environment: the `CHILLER_*` knobs named above are
+//! parsed once per build by `chiller`'s cluster builder.
 
 #![warn(missing_docs)]
 
@@ -43,6 +47,4 @@ mod trace;
 
 pub use history::{History, HistoryEvent, HistoryEventKind, HistoryRecorder};
 pub use telemetry::RuntimeTelemetry;
-pub use trace::{
-    EventKind, TraceEvent, TraceLog, TraceMode, Tracer, DEFAULT_SAMPLE_INTERVAL, DEFAULT_TRACE_BUF,
-};
+pub use trace::{EventKind, TraceEvent, TraceLog, TraceMode, Tracer, DEFAULT_TRACE_BUF};

@@ -3,104 +3,32 @@
 use chiller_common::metrics::AbortReason;
 use chiller_common::{NodeId, RecordId, TxnId};
 
-/// Default sampling interval for `CHILLER_TRACE=sample`: one in every N
-/// transactions (by per-engine sequence number) is traced.
-pub const DEFAULT_SAMPLE_INTERVAL: u32 = 64;
-
 /// Default per-engine trace log cap (events buffered between drains).
-/// Override with `CHILLER_TRACE_BUF`. Overflow never blocks the engine:
-/// excess events are counted as dropped and reported on the [`TraceLog`].
+/// The cluster builder overrides it from `CHILLER_TRACE_BUF`. Overflow
+/// never blocks the engine: excess events are counted as dropped and
+/// reported on the [`TraceLog`].
 pub const DEFAULT_TRACE_BUF: usize = 1 << 16;
 
-/// How much of the transaction lifecycle to record.
+/// Whether the transaction lifecycle is recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing: nothing is buffered, record calls are a single branch.
     Off,
-    /// Lifecycle events (begin/retry/abort/commit) for one in every `N`
-    /// transactions, selected deterministically by per-engine sequence
-    /// number (`seq % N == 0`). Lock spans and hops are not recorded.
-    Sample(u32),
     /// Everything for every transaction: lifecycle, per-record lock
     /// acquire/release spans, and remote send/recv hops.
     Full,
 }
 
 impl TraceMode {
-    /// Parse `CHILLER_TRACE`: unset/`off`/`0` → `Off`, `sample` →
-    /// `Sample(64)`, `sample=N` → `Sample(N)`, `full`/`1` → `Full`.
-    ///
-    /// # Panics
-    /// On an unrecognized value, so a typo'd knob fails loudly instead of
-    /// silently benchmarking the wrong configuration.
-    pub fn from_env() -> TraceMode {
-        match std::env::var("CHILLER_TRACE") {
-            Err(_) => TraceMode::Off,
-            Ok(v) => match v.as_str() {
-                "" | "off" | "0" => TraceMode::Off,
-                "full" | "1" => TraceMode::Full,
-                "sample" => TraceMode::Sample(DEFAULT_SAMPLE_INTERVAL),
-                other => match other.strip_prefix("sample=") {
-                    Some(n) => TraceMode::Sample(
-                        n.parse::<u32>()
-                            .unwrap_or_else(|_| {
-                                panic!("CHILLER_TRACE=sample=N needs an integer, got {n:?}")
-                            })
-                            .max(1),
-                    ),
-                    None => panic!("CHILLER_TRACE must be off|sample|sample=N|full, got {other:?}"),
-                },
-            },
-        }
-    }
-
-    /// Per-engine trace log cap from `CHILLER_TRACE_BUF` (events buffered
-    /// between drains), defaulting to [`DEFAULT_TRACE_BUF`].
-    ///
-    /// # Panics
-    /// On anything that is not a positive integer — a zero cap would
-    /// silently drop every event, which is indistinguishable from
-    /// tracing being off (same loud-knob contract as `CHILLER_TRACE` and
-    /// `CHILLER_WORKERS`).
-    pub fn buf_from_env() -> usize {
-        match std::env::var("CHILLER_TRACE_BUF") {
-            Err(_) => DEFAULT_TRACE_BUF,
-            Ok(v) => Self::parse_buf(&v),
-        }
-    }
-
-    /// Parse one `CHILLER_TRACE_BUF` value; panics unless it is a positive
-    /// integer (factored out of [`Self::buf_from_env`] so the loudness
-    /// contract is testable without mutating process environment).
-    pub fn parse_buf(v: &str) -> usize {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("CHILLER_TRACE_BUF must be a positive integer, got {v:?}"),
-        }
-    }
-
     /// Whether any events are recorded at all.
     pub fn enabled(self) -> bool {
         !matches!(self, TraceMode::Off)
-    }
-
-    /// Whether the transaction with this per-engine sequence number gets
-    /// lifecycle events. Deterministic: depends only on the sequence number,
-    /// never on wall time, so sampled sim runs replay identically.
-    #[inline]
-    pub fn traces_txn(self, seq: u64) -> bool {
-        match self {
-            TraceMode::Off => false,
-            TraceMode::Sample(n) => seq.is_multiple_of(n as u64),
-            TraceMode::Full => true,
-        }
     }
 
     /// Short label for reports and bench JSON.
     pub fn label(self) -> &'static str {
         match self {
             TraceMode::Off => "off",
-            TraceMode::Sample(_) => "sample",
             TraceMode::Full => "full",
         }
     }
@@ -119,8 +47,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// The event taxonomy. Lifecycle variants are recorded in `Sample` and
-/// `Full` modes; lock spans and hops only in `Full`.
+/// The event taxonomy, all recorded under [`TraceMode::Full`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A transaction attempt started on its coordinator.
@@ -260,19 +187,6 @@ impl Tracer {
         self.mode.enabled()
     }
 
-    /// Whether lock spans and hops are recorded (Full mode only).
-    #[inline]
-    pub fn full(&self) -> bool {
-        matches!(self.mode, TraceMode::Full)
-    }
-
-    /// Whether the transaction with this per-engine sequence number gets
-    /// lifecycle events.
-    #[inline]
-    pub fn traces_txn(&self, seq: u64) -> bool {
-        self.mode.traces_txn(seq)
-    }
-
     /// Buffer one event; never blocks. Past the cap the event is dropped
     /// and counted.
     #[inline]
@@ -325,28 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_buf_parses_positive_integers() {
-        assert_eq!(TraceMode::parse_buf("1"), 1);
-        assert_eq!(TraceMode::parse_buf("4096"), 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "CHILLER_TRACE_BUF must be a positive integer")]
-    fn trace_buf_rejects_zero_loudly() {
-        TraceMode::parse_buf("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "CHILLER_TRACE_BUF must be a positive integer")]
-    fn trace_buf_rejects_garbage_loudly() {
-        TraceMode::parse_buf("big");
-    }
-
-    #[test]
     fn off_tracer_records_nothing() {
         let mut t = Tracer::new(TraceMode::Off, 8);
         assert!(!t.enabled());
-        assert!(!t.traces_txn(0));
         // Must be a no-op, not a panic, and not a drop either.
         t.record(
             1,
@@ -365,8 +260,7 @@ mod tests {
     #[test]
     fn tracer_roundtrips_events() {
         let mut t = Tracer::new(TraceMode::Full, 8);
-        assert!(t.full());
-        assert!(t.traces_txn(7));
+        assert!(t.enabled());
         t.record(
             10,
             NodeId(1),
@@ -424,17 +318,5 @@ mod tests {
         lock(&mut t, 5);
         t.drain_into(&mut log);
         assert_eq!((log.len(), log.dropped), (3, 3));
-    }
-
-    #[test]
-    fn sample_mode_is_deterministic_in_seq() {
-        let m = TraceMode::Sample(4);
-        let picks: Vec<bool> = (0..9).map(|s| m.traces_txn(s)).collect();
-        assert_eq!(
-            picks,
-            [true, false, false, false, true, false, false, false, true]
-        );
-        assert!(TraceMode::Full.traces_txn(12345));
-        assert!(!TraceMode::Off.traces_txn(0));
     }
 }

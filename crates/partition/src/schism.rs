@@ -18,7 +18,7 @@ use crate::graph::{clique_graph, LoadMetric, TraceIndex};
 use crate::metis::{MetisLike, PartitionResult};
 use crate::stats::WorkloadTrace;
 use chiller_common::ids::{PartitionId, RecordId};
-use chiller_storage::placement::{ExplicitPlacement, HashPlacement};
+use chiller_storage::placement::{HashPlacement, LookupTable};
 use std::collections::HashMap;
 
 /// Configuration of the Schism-like partitioner.
@@ -79,8 +79,11 @@ pub struct SchismPartitioning {
 
 impl SchismPartitioning {
     /// Materialize as a placement (hash fallback for never-traced records).
-    pub fn into_placement(&self) -> ExplicitPlacement<HashPlacement> {
-        ExplicitPlacement::new(self.map.clone(), HashPlacement::new(self.k))
+    pub fn into_placement(&self) -> LookupTable<HashPlacement> {
+        LookupTable::with_entries(
+            self.map.iter().map(|(&r, &p)| (r, p)),
+            HashPlacement::new(self.k),
+        )
     }
 
     pub fn lookup_entries(&self) -> usize {

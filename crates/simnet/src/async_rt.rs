@@ -4,8 +4,9 @@
 //! a work-stealing ready queue (`taskq`), driven by a pool of OS worker
 //! threads. Both wall-clock [`Backend`](crate::Backend)s are this runtime:
 //! `Backend::Threaded` sizes the pool at one worker per engine (the
-//! paper's one-engine-per-core deployment), and `Backend::Async` at
-//! `CHILLER_WORKERS` (default = detected parallelism), so a
+//! paper's one-engine-per-core deployment), and `Backend::Async` at the
+//! pool size the cluster builder resolves (`ClusterBuilder::workers`,
+//! then `CHILLER_WORKERS`, then the detected parallelism), so a
 //! 1000-partition cluster runs on a laptop. No latencies are modelled:
 //! the reported throughput is what the host actually sustains.
 //!
@@ -101,15 +102,15 @@ pub struct AsyncConfig {
     /// Per-engine mailbox bound (messages). Rounded up to a power of two
     /// by the rings.
     pub capacity: usize,
-    /// Worker-pool size; `None` resolves `CHILLER_WORKERS` / detected
-    /// parallelism via [`sizing::async_workers`]. Clamped to the engine
-    /// count either way.
+    /// Worker-pool size; `None` means the detected parallelism
+    /// ([`sizing::detected_parallelism`]). Clamped to the engine count
+    /// either way.
     pub workers: Option<usize>,
 }
 
 impl Default for AsyncConfig {
-    /// Capacity [`DEFAULT_MAILBOX_CAPACITY`], workers from
-    /// `CHILLER_WORKERS`.
+    /// Capacity [`DEFAULT_MAILBOX_CAPACITY`], workers from the detected
+    /// parallelism.
     fn default() -> Self {
         AsyncConfig {
             capacity: DEFAULT_MAILBOX_CAPACITY,
@@ -330,8 +331,8 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
         let n = actors.len();
         let nworkers = cfg
             .workers
-            .map(|w| w.clamp(1, n.max(1)))
-            .unwrap_or_else(|| sizing::async_workers(n));
+            .unwrap_or_else(sizing::detected_parallelism)
+            .clamp(1, n.max(1));
         let (outboxes, inboxes): (Vec<_>, Vec<_>) =
             (0..n).map(|_| ringq::mpsc::bounded(cfg.capacity)).unzip();
         let states: Vec<EngineState<M>> = inboxes

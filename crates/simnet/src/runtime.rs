@@ -82,10 +82,10 @@ pub enum Backend {
     /// ring mailboxes. Reports what the machine actually sustains; not
     /// deterministic.
     Threaded,
-    /// The same worker pool sized at `CHILLER_WORKERS` (default =
-    /// detected parallelism): engines are tasks on a work-stealing ready
-    /// queue, so thousands of partitions run on a handful of OS threads.
-    /// Wall clock, not deterministic.
+    /// The same worker pool sized by `ClusterBuilder::workers` (default
+    /// `CHILLER_WORKERS`, then the detected parallelism): engines are
+    /// tasks on a work-stealing ready queue, so thousands of partitions
+    /// run on a handful of OS threads. Wall clock, not deterministic.
     Async,
 }
 

@@ -50,11 +50,6 @@ impl KeyExpr {
         }
     }
 
-    /// Whether the key is resolvable before any read executes.
-    pub fn is_static(&self) -> bool {
-        !matches!(self, KeyExpr::Computed { .. })
-    }
-
     /// Resolve the key if all pk-dep outputs are available.
     pub fn resolve(&self, st: &ExecState) -> Option<u64> {
         match self {
@@ -138,15 +133,6 @@ pub struct Op {
 }
 
 impl Op {
-    /// All ops that must execute before this one (pk-deps ∪ v-deps).
-    pub fn exec_deps(&self) -> impl Iterator<Item = OpId> + '_ {
-        self.key
-            .pk_deps()
-            .iter()
-            .copied()
-            .chain(self.value_deps.iter().copied())
-    }
-
     /// The partition-relevant key available at decision time, if any:
     /// static keys resolve exactly; computed keys fall back to the hint.
     pub fn decision_key(&self, st: &ExecState) -> Option<u64> {

@@ -28,7 +28,7 @@ pub mod wal;
 
 pub use bucket::Bucket;
 pub use lock::{LockMode, LockState};
-pub use placement::{HashPlacement, LookupTable, Placement, RangePlacement};
+pub use placement::{HashPlacement, LookupTable, Placement};
 pub use schema::{KeyPacker, Schema, TableDef};
 pub use store::{PartitionStore, TableStore};
 pub use wal::{

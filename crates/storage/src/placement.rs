@@ -1,11 +1,13 @@
 //! Record placement: which partition owns which record.
 //!
 //! §4.4 of the paper: only **hot** records get entries in a lookup table;
-//! everything else falls back to an orthogonal default partitioner (hash or
-//! range), which "takes almost no lookup-table space". This module provides
-//! both default partitioners and the combined [`LookupTable`] placement.
+//! everything else falls back to an orthogonal default partitioner, which
+//! "takes almost no lookup-table space". This module provides the hash
+//! default and the combined [`LookupTable`] placement; a Schism layout,
+//! which needs an entry for every record it traced, is a [`LookupTable`]
+//! too (§7.2.2).
 
-use chiller_common::ids::{PartitionId, RecordId, TableId};
+use chiller_common::ids::{PartitionId, RecordId};
 use std::collections::HashMap;
 
 /// Maps records to their owning partition.
@@ -54,54 +56,6 @@ impl Placement for HashPlacement {
     fn partition_of(&self, record: RecordId) -> PartitionId {
         let h = Self::mix(record.key ^ ((record.table.0 as u64) << 48));
         PartitionId((h % self.partitions as u64) as u32)
-    }
-}
-
-/// Range partitioning: per-table split points on the key space. This is what
-/// "partitioned by warehouse" means for TPC-C: the warehouse id occupies the
-/// most significant key bits, so contiguous ranges align with warehouses.
-#[derive(Debug, Clone, Default)]
-pub struct RangePlacement {
-    /// Per table: sorted upper bounds (exclusive) for partitions 0..k-1; keys
-    /// >= the last bound map to the last partition.
-    ranges: HashMap<TableId, Vec<u64>>,
-    fallback_partitions: u32,
-}
-
-impl RangePlacement {
-    pub fn new(fallback_partitions: u32) -> Self {
-        RangePlacement {
-            ranges: HashMap::new(),
-            fallback_partitions: fallback_partitions.max(1),
-        }
-    }
-
-    /// Register split points for a table. `bounds[i]` is the exclusive upper
-    /// key bound of partition `i`; there are `bounds.len() + 1` partitions.
-    pub fn set_table(&mut self, table: TableId, bounds: Vec<u64>) {
-        debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "unsorted bounds");
-        self.ranges.insert(table, bounds);
-    }
-
-    /// Convenience: partition a table uniformly by the top bits of the key —
-    /// i.e. `key_high = key >> shift` maps to partition `key_high % k`.
-    pub fn by_key_prefix(table: TableId, _k: u32) -> impl Fn(RecordId) -> PartitionId {
-        move |r: RecordId| {
-            debug_assert_eq!(r.table, table);
-            PartitionId((r.key >> 48) as u32)
-        }
-    }
-}
-
-impl Placement for RangePlacement {
-    fn partition_of(&self, record: RecordId) -> PartitionId {
-        match self.ranges.get(&record.table) {
-            Some(bounds) => {
-                let p = bounds.partition_point(|&b| b <= record.key);
-                PartitionId(p as u32)
-            }
-            None => HashPlacement::new(self.fallback_partitions).partition_of(record),
-        }
     }
 }
 
@@ -161,38 +115,10 @@ impl<P: Placement> Placement for LookupTable<P> {
     }
 }
 
-/// A placement defined entirely by an explicit per-record map — how Schism
-/// must be deployed when the optimal layout is not expressible as ranges
-/// (§7.2.2: "the number of entries in the lookup table can be as large as
-/// the number of records in the database").
-pub struct ExplicitPlacement<P: Placement> {
-    map: HashMap<RecordId, PartitionId>,
-    /// Fallback for records created after partitioning (inserts).
-    fallback: P,
-}
-
-impl<P: Placement> ExplicitPlacement<P> {
-    pub fn new(map: HashMap<RecordId, PartitionId>, fallback: P) -> Self {
-        ExplicitPlacement { map, fallback }
-    }
-}
-
-impl<P: Placement> Placement for ExplicitPlacement<P> {
-    fn partition_of(&self, record: RecordId) -> PartitionId {
-        match self.map.get(&record) {
-            Some(p) => *p,
-            None => self.fallback.partition_of(record),
-        }
-    }
-
-    fn lookup_entries(&self) -> usize {
-        self.map.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiller_common::ids::TableId;
 
     fn rid(t: u16, k: u64) -> RecordId {
         RecordId::new(TableId(t), k)
@@ -229,18 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn range_placement_respects_bounds() {
-        let mut p = RangePlacement::new(1);
-        p.set_table(TableId(1), vec![100, 200]);
-        assert_eq!(p.partition_of(rid(1, 0)), PartitionId(0));
-        assert_eq!(p.partition_of(rid(1, 99)), PartitionId(0));
-        assert_eq!(p.partition_of(rid(1, 100)), PartitionId(1));
-        assert_eq!(p.partition_of(rid(1, 199)), PartitionId(1));
-        assert_eq!(p.partition_of(rid(1, 200)), PartitionId(2));
-        assert_eq!(p.partition_of(rid(1, u64::MAX)), PartitionId(2));
-    }
-
-    #[test]
     fn lookup_table_overrides_default_only_for_hot() {
         let mut lt = LookupTable::new(HashPlacement::new(4));
         let hot = rid(1, 42);
@@ -265,16 +179,5 @@ mod tests {
             lt.insert(rid(1, k), PartitionId(0));
         }
         assert_eq!(lt.approx_size_bytes(), 10 * (16 + 4));
-    }
-
-    #[test]
-    fn explicit_placement_counts_all_entries() {
-        let mut map = HashMap::new();
-        for k in 0..100 {
-            map.insert(rid(1, k), PartitionId((k % 2) as u32));
-        }
-        let p = ExplicitPlacement::new(map, HashPlacement::new(2));
-        assert_eq!(p.lookup_entries(), 100);
-        assert_eq!(p.partition_of(rid(1, 3)), PartitionId(1));
     }
 }

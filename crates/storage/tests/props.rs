@@ -7,7 +7,7 @@ use chiller_common::ids::{NodeId, PartitionId, RecordId, TableId, TxnId};
 use chiller_common::time::SimTime;
 use chiller_common::value::{Row, Value};
 use chiller_storage::lock::{LockMode, LockState, Released};
-use chiller_storage::placement::{ExplicitPlacement, HashPlacement, LookupTable, Placement};
+use chiller_storage::placement::{HashPlacement, LookupTable, Placement};
 use chiller_storage::schema::{KeyPacker, Schema, TableDef};
 use chiller_storage::wal::{
     crc32, read_checkpoint, write_checkpoint, RedoOp, RedoWrite, StoreSnapshot, TableSnapshot,
@@ -83,32 +83,41 @@ proptest! {
     }
 
     /// LookupTable law: `is_hot(r)` ⇔ an entry exists ⇔ `partition_of(r)`
-    /// returns the entry; all other records fall through to the default,
-    /// and `lookup_entries` counts exactly the distinct inserted records.
+    /// returns the entry; all other records (e.g. inserts created after
+    /// partitioning) fall through to the default, and `lookup_entries`
+    /// counts exactly the distinct records. It holds whether the table is
+    /// filled by `insert` or built at once by `with_entries` (how a
+    /// Schism layout is materialized); a later entry for a record wins.
     #[test]
     fn lookup_table_hot_entry_consistency(
         entries in prop::collection::vec((0u64..64, 0u32..4), 0..40),
         probes in prop::collection::vec(0u64..96, 1..40),
         k in 1u32..6,
     ) {
-        let mut lt = LookupTable::new(HashPlacement::new(k));
+        let entries: Vec<(RecordId, PartitionId)> = entries
+            .into_iter()
+            .map(|(key, p)| (RecordId::new(TableId(1), key), PartitionId(p)))
+            .collect();
+        let mut inserted = LookupTable::new(HashPlacement::new(k));
         let mut model: HashMap<RecordId, PartitionId> = HashMap::new();
-        for (key, p) in entries {
-            let rid = RecordId::new(TableId(1), key);
-            lt.insert(rid, PartitionId(p));
-            model.insert(rid, PartitionId(p));
+        for &(rid, p) in &entries {
+            inserted.insert(rid, p);
+            model.insert(rid, p);
         }
-        prop_assert_eq!(lt.lookup_entries(), model.len());
+        let built = LookupTable::with_entries(entries, HashPlacement::new(k));
         let fallback = HashPlacement::new(k);
-        for key in probes {
-            let rid = RecordId::new(TableId(1), key);
-            prop_assert_eq!(lt.is_hot(rid), model.contains_key(&rid));
-            let expect = model.get(&rid).copied().unwrap_or_else(|| fallback.partition_of(rid));
-            prop_assert_eq!(lt.partition_of(rid), expect);
-        }
-        // Every hot entry is enumerable and self-consistent.
-        for (r, p) in lt.hot_entries() {
-            prop_assert_eq!(model.get(r), Some(p));
+        for lt in [inserted, built] {
+            prop_assert_eq!(lt.lookup_entries(), model.len());
+            for &key in &probes {
+                let rid = RecordId::new(TableId(1), key);
+                prop_assert_eq!(lt.is_hot(rid), model.contains_key(&rid));
+                let expect = model.get(&rid).copied().unwrap_or_else(|| fallback.partition_of(rid));
+                prop_assert_eq!(lt.partition_of(rid), expect);
+            }
+            // Every hot entry is enumerable and self-consistent.
+            for (r, p) in lt.hot_entries() {
+                prop_assert_eq!(model.get(r), Some(p));
+            }
         }
     }
 
@@ -128,28 +137,6 @@ proptest! {
         }
         let per_entry = std::mem::size_of::<RecordId>() + std::mem::size_of::<PartitionId>();
         prop_assert_eq!(last, lt.lookup_entries() * per_entry);
-    }
-
-    /// ExplicitPlacement: mapped records obey the map; unmapped records
-    /// (e.g. inserts created after partitioning) obey the fallback.
-    #[test]
-    fn explicit_placement_fallback_correctness(
-        mapped in prop::collection::vec((0u64..64, 0u32..4), 0..40),
-        probes in prop::collection::vec(0u64..128, 1..40),
-        k in 1u32..6,
-    ) {
-        let map: HashMap<RecordId, PartitionId> = mapped
-            .into_iter()
-            .map(|(key, p)| (RecordId::new(TableId(2), key), PartitionId(p)))
-            .collect();
-        let ep = ExplicitPlacement::new(map.clone(), HashPlacement::new(k));
-        prop_assert_eq!(ep.lookup_entries(), map.len());
-        let fallback = HashPlacement::new(k);
-        for key in probes {
-            let rid = RecordId::new(TableId(2), key);
-            let expect = map.get(&rid).copied().unwrap_or_else(|| fallback.partition_of(rid));
-            prop_assert_eq!(ep.partition_of(rid), expect);
-        }
     }
 
     /// KeyPacker round-trips arbitrary in-range fields.

@@ -184,7 +184,7 @@ fn checker_certifies_async_runs() {
             b.runtime(Backend::Async)
                 .workers(2)
                 .trace(TraceMode::Off)
-                .check(CheckMode::Window(256));
+                .check(CheckMode::Full);
             let mut cluster = b.build().unwrap();
             let report = cluster.run(RunSpec::millis(10, 100));
             assert!(

@@ -51,14 +51,14 @@ fn smallbank_certifies_on_the_simulator() {
     }
 }
 
-/// Threaded backend (one OS thread per engine), all protocols, windowed
-/// check: wall-clock interleavings, bounded checker memory.
+/// Threaded backend (one OS thread per engine), all protocols, full
+/// check: wall-clock interleavings.
 #[test]
 fn smallbank_certifies_on_the_threaded_backend() {
     for protocol in [Protocol::Chiller, Protocol::TwoPhaseLocking, Protocol::Occ] {
         let cfg = contended_config();
         let mut b = smallbank::builder(&cfg, NODES, protocol, sim_config(17));
-        b.runtime(Backend::Threaded).check(CheckMode::Window(256));
+        b.runtime(Backend::Threaded).check(CheckMode::Full);
         let mut cluster = b.build().unwrap();
         let report = cluster.run(RunSpec::millis(0, 100));
         assert!(
@@ -72,12 +72,12 @@ fn smallbank_certifies_on_the_threaded_backend() {
     }
 }
 
-/// Async worker-pool backend, windowed check.
+/// Async worker-pool backend, full check.
 #[test]
 fn smallbank_certifies_on_the_async_backend() {
     let cfg = contended_config();
     let mut b = smallbank::builder(&cfg, NODES, Protocol::Chiller, sim_config(19));
-    b.runtime(Backend::Async).check(CheckMode::Window(256));
+    b.runtime(Backend::Async).check(CheckMode::Full);
     let mut cluster = b.build().unwrap();
     let report = cluster.run(RunSpec::millis(0, 100));
     assert!(
