@@ -37,17 +37,6 @@ impl Default for NetworkConfig {
 }
 
 impl NetworkConfig {
-    /// A network with effectively zero latency — useful in unit tests that
-    /// only care about protocol logic, not timing.
-    pub fn instant() -> Self {
-        NetworkConfig {
-            one_sided_ns: 1,
-            rpc_ns: 1,
-            local_ns: 0,
-            rpc_handler_cpu_ns: 0,
-        }
-    }
-
     /// A classic TCP-like slow network (tens of microseconds per message):
     /// used by ablations that show why contention-centric partitioning
     /// targets *fast* networks specifically.

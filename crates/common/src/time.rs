@@ -41,11 +41,6 @@ impl SimTime {
     }
 
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
@@ -88,11 +83,6 @@ impl Duration {
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 }
 

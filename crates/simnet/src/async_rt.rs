@@ -786,12 +786,6 @@ impl<M> Mailbox<M> for AsyncMailbox<'_, M> {
         self.timers.arm(due, self.st.node.idx(), token);
     }
 
-    fn set_timer_when_free(&mut self, d: Duration, token: u64) {
-        // No modelled busy horizon on real threads: the engine is free
-        // whenever it is not executing.
-        self.set_timer(d, token);
-    }
-
     fn use_cpu(&mut self, _d: Duration) {
         // Real CPU is consumed by actually executing the handler.
     }

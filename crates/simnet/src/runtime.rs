@@ -135,12 +135,6 @@ pub trait Mailbox<M> {
     /// Schedule `on_timer(token)` on this node after `d`.
     fn set_timer(&mut self, d: Duration, token: u64);
 
-    /// Schedule a timer relative to when the engine becomes free, rather
-    /// than now — used for "process next input when you have capacity".
-    /// On the wall clock the engine is free whenever it is not executing,
-    /// so this degrades to [`Mailbox::set_timer`].
-    fn set_timer_when_free(&mut self, d: Duration, token: u64);
-
     /// Charge `d` of CPU time on this node's engine core. The simulator
     /// delays subsequent sends and queues arriving RPCs behind the charge;
     /// the wall-clock backends ignore it — real CPU is consumed by
@@ -190,13 +184,6 @@ impl<'a, M> Ctx<'a, M> {
     #[inline]
     pub fn set_timer(&mut self, d: Duration, token: u64) {
         self.mailbox.set_timer(d, token);
-    }
-
-    /// Schedule a timer relative to when the engine becomes free (see
-    /// [`Mailbox::set_timer_when_free`]).
-    #[inline]
-    pub fn set_timer_when_free(&mut self, d: Duration, token: u64) {
-        self.mailbox.set_timer_when_free(d, token);
     }
 }
 

@@ -160,17 +160,6 @@ impl<M> Mailbox<M> for SimMailbox<'_, M> {
             },
         );
     }
-
-    fn set_timer_when_free(&mut self, d: Duration, token: u64) {
-        let at = self.departure_time() + d;
-        self.core.push(
-            at,
-            EventKind::Timer {
-                node: self.node,
-                token,
-            },
-        );
-    }
 }
 
 /// The simulation: a set of actors (one per node) plus the event core.

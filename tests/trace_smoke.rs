@@ -130,9 +130,19 @@ fn threaded_full_trace_exports_parse() {
 /// 4-warehouse full-mix TPC-C run traced with `TraceMode::Full` must
 /// export a Chrome-loadable timeline with attempt spans, lock spans,
 /// hops, and structured abort reasons — simulated, threaded, and async.
+///
+/// The simulator commits far more per virtual millisecond than the
+/// wall-clock backends do per real one, so its windows are 1 ms: about
+/// 1 500 commits, the same order as the wall-clock runs. At 10 ms it
+/// records ten times that, and parsing its 68 MB document takes most of
+/// this binary's time.
 #[test]
 fn tpcc_full_trace_all_backends() {
-    for backend in [Backend::Simulated, Backend::Threaded, Backend::Async] {
+    for (backend, window_ms) in [
+        (Backend::Simulated, 1),
+        (Backend::Threaded, 10),
+        (Backend::Async, 10),
+    ] {
         let mut sim = SimConfig {
             seed: 13,
             ..SimConfig::default()
@@ -146,9 +156,9 @@ fn tpcc_full_trace_all_backends() {
         );
         b.runtime(backend).trace(TraceMode::Full);
         let mut cluster = b.build().unwrap();
-        let mut report = cluster.run(RunSpec::millis(0, 10));
+        let mut report = cluster.run(RunSpec::millis(0, window_ms));
         for _ in 0..3 {
-            report = cluster.run_more(Duration::from_millis(10));
+            report = cluster.run_more(Duration::from_millis(window_ms));
         }
         cluster.quiesce();
         let log = cluster.take_trace();
