@@ -1,9 +1,20 @@
-//! Machinery shared by the lock-based strategies (2PL and Chiller's outer
-//! region): combined lock+read waves, grant/conflict handling, and the
-//! write-back + unlock commit with the prepare piggybacked (Figure 3a).
+//! The lock-based coordinator: Chiller's two-region execution (§3), with
+//! traditional 2PL + 2PC (NO_WAIT, Figure 3a) as its single-region case.
+//!
+//! Waves issue combined lock+read verbs for the outer region. When the
+//! §3.3 admission decision split off an inner region, the coordinator
+//! delegates it by RPC to the inner host once outer locks are held and
+//! outer guards pass; the inner host commits unilaterally and
+//! fire-and-forget replicates (§5), and the coordinator resumes outer
+//! phase 2 after the inner result *and* the inner replicas' acks arrive.
+//! Every transaction ends in the same commit: write-back + unlock with the
+//! prepare piggybacked, alongside replication to each written partition's
+//! replicas. A 2PL transaction, or a Chiller one with no hot records, is a
+//! single outer region and goes straight to that commit.
 
 use super::{
-    by_partition, finish_commit, in_scope, lock_mode_for, take_run, Coord, FailKind, Phase,
+    abort_attempt, by_partition, compute_pass, drive, finish_commit, in_scope, lock_mode_for,
+    take_run, Coord, FailKind, Phase,
 };
 use crate::engine::EngineActor;
 use crate::msg::{LockReadItem, Msg};
@@ -11,6 +22,7 @@ use chiller_common::ids::{NodeId, OpId, RecordId, TxnId};
 use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
+use chiller_sproc::decision::GuardSite;
 use chiller_sproc::op::OpKind;
 
 /// Wave dispatch: a combined CAS-lock + READ batch for one partition.
@@ -36,13 +48,31 @@ pub(super) fn lock_read_message(coord: &Coord, txn: TxnId, req: u64, ops: &[OpId
     }
 }
 
-/// Absorb one lock+read response: on grant, record held locks and outputs;
-/// on conflict or existence fault, mark the attempt failed. The caller
-/// drives the next stage afterwards.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn absorb_lock_read_resp(
+/// Every in-scope op holds its lock: delegate the inner region if the
+/// split has one and it has not gone out yet, otherwise commit (outer
+/// phase 2 after the inner region, or the whole single-region
+/// transaction).
+pub(super) fn on_waves_complete(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
+    txn: TxnId,
+    coord: &mut Coord,
+) {
+    if coord.split.is_two_region() && !coord.inner_sent {
+        send_inner(eng, ctx, txn, coord);
+    } else {
+        commit_locked(eng, ctx, txn, coord);
+    }
+}
+
+/// One lock+read response: on grant, record held locks and outputs; on
+/// conflict or existence fault, mark the attempt failed. Then drive the
+/// next stage.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn on_lock_read_resp(
+    eng: &mut EngineActor,
+    ctx: &mut Ctx<'_, Msg>,
+    txn: TxnId,
     coord: &mut Coord,
     req: u64,
     granted: bool,
@@ -77,17 +107,129 @@ pub(super) fn absorb_lock_read_resp(
     } else {
         coord.failed = Some(FailKind::Transient(AbortReason::NoWaitConflict));
     }
+    drive(eng, ctx, txn, coord);
 }
 
-/// Commit for lock-based execution (2PL, Chiller outer phase 2): per
-/// written partition, replicate and send WRITE-back + unlock one-sided
-/// verbs, then wait for every ack.
-pub(super) fn commit_locked(
+/// §3.3 step 4: ship the inner region to the inner host.
+fn send_inner(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
+    let host = coord.split.inner_host.expect("two-region");
+    coord.participants.insert(host);
+    let inner_has_writes = coord
+        .split
+        .inner_ops
+        .iter()
+        .any(|id| coord.proc.op(*id).kind.is_write());
+    // The inner host's replicas ack this coordinator directly (§5).
+    let replica_acks = if inner_has_writes {
+        eng.replica_nodes(host).len()
+    } else {
+        0
+    };
+    let outer_outputs: Vec<(OpId, Row)> = (0..coord.proc.num_ops() as u16)
+        .map(OpId)
+        .filter_map(|id| coord.exec.output(id).map(|r| (id, r.clone())))
+        .collect();
+    let inner_guards: Vec<usize> = coord
+        .split
+        .guard_sites
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| **s == GuardSite::Inner)
+        .map(|(i, _)| i)
+        .collect();
+    if NodeId(host.0) != eng.node && eng.tracer.enabled() {
+        eng.tracer.record(
+            ctx.now().as_nanos(),
+            eng.node,
+            chiller_obs::EventKind::SendHop {
+                txn,
+                dst: NodeId(host.0),
+                label: "exec_inner",
+            },
+        );
+    }
+    // Provisional decision: once the inner host unilaterally commits, the
+    // transaction IS committed (§3.3) even if this coordinator dies before
+    // outer phase 2. Log the outer writes known so far, tagged with the
+    // inner host; recovery treats the txn as committed iff that host's log
+    // carries `InnerCommit`. The final Decide from `commit_locked` (with
+    // `pending_inner: None` and the complete write-set) supersedes this.
+    super::log_decide(eng, txn, coord, Some(host));
+    ctx.send(
+        NodeId(host.0),
+        Verb::Rpc,
+        Msg::ExecInner {
+            txn,
+            proc: coord.input.proc,
+            params: coord.input.params.clone(),
+            outer_outputs,
+            inner_ops: coord.split.inner_ops.clone(),
+            inner_guards,
+        },
+    );
+    coord.inner_sent = true;
+    coord.phase = Phase::InnerWait;
+    coord.pending = 1 + replica_acks;
+}
+
+/// §3.3 step 5: the inner host's unilateral decision arrived.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn on_inner_result(
+    eng: &mut EngineActor,
+    ctx: &mut Ctx<'_, Msg>,
+    txn: TxnId,
+    coord: &mut Coord,
+    committed: bool,
+    outputs: Vec<(OpId, Row)>,
+    retryable: bool,
+    stale: bool,
+) {
+    ctx.use_cpu(eng.op_cpu());
+    coord.pending -= 1;
+    if committed {
+        coord.inner_ok = true;
+        for (op, row) in outputs {
+            coord.exec.set_output(op, row);
+        }
+        for id in &coord.split.inner_ops {
+            let st = &mut coord.ops[id.idx()];
+            st.responded = true;
+            st.computed = true;
+        }
+        if coord.pending == 0 {
+            resume_outer_commit(eng, ctx, txn, coord);
+        }
+    } else {
+        coord.failed = Some(if retryable {
+            FailKind::Transient(if stale {
+                AbortReason::MigrationStaleRoute
+            } else {
+                AbortReason::NoWaitConflict
+            })
+        } else {
+            FailKind::Logic
+        });
+        // Inner replicas never replicate on abort: drop their count.
+        coord.pending = 0;
+        abort_attempt(eng, ctx, txn, coord);
+    }
+}
+
+/// Outer phase 2: with the inner result and its replica acks in, finish
+/// the remaining outer computation and commit the outer region.
+pub(super) fn resume_outer_commit(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
     txn: TxnId,
     coord: &mut Coord,
 ) {
+    compute_pass(eng, ctx, coord);
+    commit_locked(eng, ctx, txn, coord);
+}
+
+/// The commit: per written partition, replicate and send WRITE-back +
+/// unlock one-sided verbs, then wait for every ack.
+fn commit_locked(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
     debug_assert!(
         coord
             .ops
@@ -145,20 +287,6 @@ pub(super) fn commit_locked(
         coord.pending += 1;
     }
     if coord.pending == 0 {
-        finish_commit(eng, ctx, txn, coord);
-    }
-}
-
-/// Absorb a commit-phase ack (write-back ack or replication ack): once all
-/// acks drain during `Committing`, the transaction is committed.
-pub(super) fn absorb_commit_phase_ack(
-    eng: &mut EngineActor,
-    ctx: &mut Ctx<'_, Msg>,
-    txn: TxnId,
-    coord: &mut Coord,
-) {
-    coord.pending = coord.pending.saturating_sub(1);
-    if coord.pending == 0 && coord.phase == Phase::Committing {
         finish_commit(eng, ctx, txn, coord);
     }
 }

@@ -1,39 +1,32 @@
-//! The coordinator protocol seam.
+//! The transaction coordinator.
 //!
 //! A stored procedure executes in **dependency waves**: every operation
 //! whose key is resolvable and whose pk-dependencies are satisfied is
 //! issued (batched per partition) in parallel; responses unlock the next
 //! wave. This mirrors how a NAM-DB coordinator overlaps one-sided verbs,
 //! and gives 2-wave execution for typical TPC-C transactions. The wave
-//! loop, per-op compute pass, guard evaluation, commit/abort accounting
-//! and retry policy in this module are shared by every protocol.
+//! loop, per-op compute pass, guard evaluation, commit/abort accounting,
+//! commit-phase acks and retry policy in this module serve every protocol.
 //!
-//! What *differs* per protocol is captured by [`CoordinatorProtocol`]:
+//! Two coordinators sit on top: the lock-based one (`lock_based`), which
+//! runs Chiller's two-region execution and, as its single-region case,
+//! 2PL + 2PC; and OCC (`occ`). The engine's [`Protocol`] is read in three
+//! places:
 //!
-//! * **admission/split** — the §3.3 run-time region decision (Chiller
-//!   splits hot ops into an inner region; the baselines always run
-//!   single-region);
-//! * **wave dispatch** — what a wave sends: combined lock+read verbs
-//!   (2PL / Chiller outer region) vs lock-free versioned reads (OCC);
-//! * **prepare/validate** — what happens when every in-scope op has
-//!   responded: write-back + unlock with the prepare piggybacked (2PL),
-//!   inner-region delegation then outer phase 2 (Chiller), or a parallel
-//!   validate round (OCC);
-//! * **decide/replicate** — how responses and replication acks advance
-//!   the state machine to commit or abort.
+//! * **admission** (`admission_split`) — Chiller runs the §3.3 region
+//!   decision; 2PL and OCC run everything as one outer region;
+//! * **wave message** — combined lock+read verbs, or lock-free versioned
+//!   reads under OCC;
+//! * **waves complete** — the lock-based step (inner-region delegation
+//!   when the split has two regions, otherwise write-back + unlock with the
+//!   prepare piggybacked), or OCC's parallel validate round.
 //!
-//! Implementations are stateless zero-sized types — all per-transaction
-//! state lives in [`Coord`], all per-node state in
-//! [`EngineActor`] — so a strategy is just a
-//! `&'static dyn CoordinatorProtocol` selected at engine construction.
-//! Adding a protocol (deterministic/Calvin-style, FaRM-style, …) means
-//! adding one module here plus a [`Protocol`] variant; the engine shell,
-//! cluster builder and workloads stay untouched.
+//! Responses need no protocol: the engine routes each response kind to
+//! its one handler (see [`EngineActor`]). All per-transaction state lives
+//! in [`Coord`], all per-node state in [`EngineActor`].
 
-pub mod chiller;
-mod lock_based;
-pub mod occ;
-pub mod two_pl;
+pub(crate) mod lock_based;
+pub(crate) mod occ;
 
 use crate::engine::EngineActor;
 use crate::input::TxnInput;
@@ -47,77 +40,33 @@ use chiller_obs::EventKind;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::decision::GuardSite;
 use chiller_sproc::op::OpKind;
-use chiller_sproc::{ExecState, Procedure, RegionSplit};
+use chiller_sproc::{decide_regions, ExecState, Procedure, RegionSplit};
 use chiller_storage::lock::LockMode;
 use std::collections::{BTreeSet, HashMap};
 use std::iter::Peekable;
 use std::sync::Arc;
 
-pub use chiller::ChillerCoordinator;
-pub use occ::OccCoordinator;
-pub use two_pl::TwoPlCoordinator;
-
-/// Protocol-specific coordinator behavior: txn admission/split, wave
-/// dispatch, prepare/validate, and decide/replicate hooks. See the module
-/// docs for the seam's contract.
-///
-/// Methods receive the engine shell (`eng`) for stores, placement, config,
-/// metrics and scheduling, plus the per-transaction [`Coord`] — which the
-/// engine has temporarily removed from its open-transaction table, so
-/// implementations never touch `eng.txns` for the current transaction.
-/// Setting `coord.phase = Phase::Done` (via `finish_commit` /
-/// `abort_attempt`) retires the transaction.
-pub trait CoordinatorProtocol: Send + Sync {
-    /// The [`Protocol`] this strategy implements.
-    fn protocol(&self) -> Protocol;
-
-    /// Txn admission (§3.3 steps 1–2): decide the region split before the
-    /// first wave. Baselines run everything as one outer region.
-    fn admission_split(
-        &self,
-        eng: &EngineActor,
-        proc: &Procedure,
-        exec: &ExecState,
-    ) -> RegionSplit {
-        let _ = (eng, exec);
-        RegionSplit::all_outer(proc)
-    }
-
-    /// Wave dispatch: build the access message for one per-partition batch
-    /// of ready ops (`ops` is non-empty; `req` correlates the response).
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg;
-
-    /// Prepare/validate: every in-scope op has responded and nothing else
-    /// is issuable — enter the protocol's commit path (write-back for 2PL,
-    /// inner delegation for Chiller, validation round for OCC).
-    fn on_waves_complete(
-        &self,
-        eng: &mut EngineActor,
-        ctx: &mut Ctx<'_, Msg>,
-        txn: TxnId,
-        coord: &mut Coord,
-    );
-
-    /// Decide/replicate: a coordinator-side response arrived for this open
-    /// transaction (wave responses, validation verdicts, inner results,
-    /// commit/decide/replication acks).
-    fn on_response(
-        &self,
-        eng: &mut EngineActor,
-        ctx: &mut Ctx<'_, Msg>,
-        src: NodeId,
-        txn: TxnId,
-        coord: &mut Coord,
-        msg: Msg,
-    );
-}
-
-/// The strategy singleton for a protocol.
-pub fn strategy_for(p: Protocol) -> &'static dyn CoordinatorProtocol {
-    match p {
-        Protocol::Chiller => &ChillerCoordinator,
-        Protocol::TwoPhaseLocking => &TwoPlCoordinator,
-        Protocol::Occ => &OccCoordinator,
+/// Txn admission (§3.3 steps 1–2): decide the region split before the
+/// first wave. Chiller resolves every statically-decidable key, looks up
+/// its partition and hotness, and runs the region decision; the baselines
+/// run everything as one outer region.
+pub(crate) fn admission_split(
+    eng: &EngineActor,
+    proc: &Procedure,
+    exec: &ExecState,
+) -> RegionSplit {
+    match eng.protocol {
+        Protocol::Chiller => {
+            let mut op_partition = Vec::with_capacity(proc.num_ops());
+            let mut op_hot = Vec::with_capacity(proc.num_ops());
+            for op in &proc.ops {
+                let rid = op.decision_key(exec).map(|k| RecordId::new(op.table, k));
+                op_partition.push(rid.map(|r| eng.placement.partition_of(r)));
+                op_hot.push(rid.map(|r| eng.hot.contains(&r)).unwrap_or(false));
+            }
+            decide_regions(proc, &op_partition, &op_hot)
+        }
+        Protocol::TwoPhaseLocking | Protocol::Occ => RegionSplit::all_outer(proc),
     }
 }
 
@@ -283,7 +232,7 @@ pub(crate) fn lock_mode_for(op: &chiller_sproc::op::Op) -> LockMode {
 
 /// Advance a transaction through its current stage: run the compute pass
 /// and guards, abort on failure once in-flight responses drain, issue the
-/// next wave, and hand stage completion to the strategy.
+/// next wave, and hand stage completion to the protocol's commit path.
 pub(crate) fn drive(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
     if coord.failed.is_none() {
         compute_pass(eng, ctx, coord);
@@ -310,8 +259,12 @@ pub(crate) fn drive(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, c
             .all(|i| !in_scope(coord, OpId(i as u16)) || coord.ops[i].responded),
         "wave stalled with unresolved in-scope ops"
     );
-    let strategy = eng.strategy;
-    strategy.on_waves_complete(eng, ctx, txn, coord);
+    match eng.protocol {
+        Protocol::Chiller | Protocol::TwoPhaseLocking => {
+            lock_based::on_waves_complete(eng, ctx, txn, coord)
+        }
+        Protocol::Occ => occ::send_validate(eng, ctx, txn, coord),
+    }
 }
 
 /// Finalize every op whose inputs are available: compute update rows,
@@ -403,8 +356,8 @@ fn check_guards(coord: &mut Coord) {
     }
 }
 
-/// Issue every in-scope op whose key is resolvable, batched per partition;
-/// the message content comes from the strategy's wave-dispatch hook.
+/// Issue every in-scope op whose key is resolvable, batched per partition
+/// into the protocol's wave message.
 /// Returns the number of messages sent.
 fn issue_wave(
     eng: &mut EngineActor,
@@ -432,13 +385,17 @@ fn issue_wave(
         ctx.use_cpu(eng.op_cpu());
     }
     let mut n = 0;
-    let strategy = eng.strategy;
     for (part, op_ids) in by_partition(ready) {
         n += 1;
         let target = NodeId(part.0);
         coord.next_req += 1;
         let req = coord.next_req;
-        let msg = strategy.wave_message(coord, txn, req, &op_ids);
+        let msg = match eng.protocol {
+            Protocol::Chiller | Protocol::TwoPhaseLocking => {
+                lock_based::lock_read_message(coord, txn, req, &op_ids)
+            }
+            Protocol::Occ => occ::read_message(coord, txn, req, &op_ids),
+        };
         coord.inflight.insert(req, op_ids);
         let verb = msg.verb();
         if target != eng.node && eng.tracer.enabled() {
@@ -457,6 +414,26 @@ fn issue_wave(
         coord.pending += 1;
     }
     n
+}
+
+/// A commit-phase ack arrived: a write-back (`CommitOuterAck`), a
+/// replication (`ReplicateAck`) or an OCC decide (`OccDecideAck`) ack.
+/// Once every ack is in, the phase says what comes next: outer phase 2
+/// after a committed inner region (replica acks of the inner host count
+/// here, §5), the commit, or OCC's retry after its latches are released.
+/// Only Chiller enters `InnerWait` and only OCC enters `Aborting`, so one
+/// handler serves every protocol.
+pub(crate) fn on_ack(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
+    coord.pending = coord.pending.saturating_sub(1);
+    if coord.pending > 0 {
+        return;
+    }
+    match coord.phase {
+        Phase::InnerWait if coord.inner_ok => lock_based::resume_outer_commit(eng, ctx, txn, coord),
+        Phase::Committing => finish_commit(eng, ctx, txn, coord),
+        Phase::Aborting => abort_attempt(eng, ctx, txn, coord),
+        _ => {}
+    }
 }
 
 /// Log this attempt's commit decision — the full buffered outer write-set,

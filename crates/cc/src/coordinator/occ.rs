@@ -7,101 +7,41 @@
 //! releases latches — or, on validation failure, a release-only round
 //! before the retry backoff.
 
-use super::{
-    abort_attempt, by_partition, drive, finish_commit, take_run, Coord, CoordinatorProtocol,
-    FailKind, Phase,
-};
+use super::{abort_attempt, by_partition, drive, finish_commit, take_run, Coord, FailKind, Phase};
 use crate::engine::EngineActor;
 use crate::msg::{Msg, OccReadItem, ValidateItem};
-use crate::protocol::Protocol;
 use chiller_common::ids::{NodeId, OpId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
 use chiller_sproc::op::OpKind;
 
-/// Strategy singleton for [`Protocol::Occ`].
-pub struct OccCoordinator;
-
-impl CoordinatorProtocol for OccCoordinator {
-    fn protocol(&self) -> Protocol {
-        Protocol::Occ
-    }
-
-    fn wave_message(&self, coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
-        Msg::OccRead {
-            txn,
-            req,
-            items: ops
-                .iter()
-                .map(|&id| {
-                    let op = coord.proc.op(id);
-                    OccReadItem {
-                        op: id,
-                        record: coord.ops[id.idx()]
-                            .record
-                            .expect("resolved before dispatch"),
-                        want_row: op.kind.produces_output(),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn on_waves_complete(
-        &self,
-        eng: &mut EngineActor,
-        ctx: &mut Ctx<'_, Msg>,
-        txn: TxnId,
-        coord: &mut Coord,
-    ) {
-        send_validate(eng, ctx, txn, coord);
-    }
-
-    fn on_response(
-        &self,
-        eng: &mut EngineActor,
-        ctx: &mut Ctx<'_, Msg>,
-        src: NodeId,
-        txn: TxnId,
-        coord: &mut Coord,
-        msg: Msg,
-    ) {
-        match msg {
-            Msg::OccReadResp { req, rows, .. } => {
-                absorb_occ_read_resp(eng, ctx, coord, req, rows);
-                drive(eng, ctx, txn, coord);
-            }
-            Msg::OccValidateResp { ok, .. } => {
-                on_validate_resp(eng, ctx, src, txn, coord, ok);
-            }
-            Msg::OccDecideAck { .. } => {
-                coord.pending = coord.pending.saturating_sub(1);
-                if coord.pending == 0 {
-                    match coord.phase {
-                        Phase::Committing => finish_commit(eng, ctx, txn, coord),
-                        Phase::Aborting => abort_attempt(eng, ctx, txn, coord),
-                        _ => {}
-                    }
+/// Wave dispatch: a lock-free versioned READ batch for one partition.
+pub(super) fn read_message(coord: &Coord, txn: TxnId, req: u64, ops: &[OpId]) -> Msg {
+    Msg::OccRead {
+        txn,
+        req,
+        items: ops
+            .iter()
+            .map(|&id| {
+                let op = coord.proc.op(id);
+                OccReadItem {
+                    op: id,
+                    record: coord.ops[id.idx()]
+                        .record
+                        .expect("resolved before dispatch"),
+                    want_row: op.kind.produces_output(),
                 }
-            }
-            Msg::ReplicateAck { .. } => {
-                coord.pending = coord.pending.saturating_sub(1);
-                if coord.pending == 0 && coord.phase == Phase::Committing {
-                    finish_commit(eng, ctx, txn, coord);
-                }
-            }
-            other => {
-                debug_assert!(false, "OCC coordinator received {other:?}");
-            }
-        }
+            })
+            .collect(),
     }
 }
 
-/// Absorb one lock-free versioned read response.
-fn absorb_occ_read_resp(
+/// One lock-free versioned read response; then drive the next stage.
+pub(crate) fn on_read_resp(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
+    txn: TxnId,
     coord: &mut Coord,
     req: u64,
     rows: Vec<(OpId, Option<Row>, u64)>,
@@ -127,11 +67,17 @@ fn absorb_occ_read_resp(
             }
         }
     }
+    drive(eng, ctx, txn, coord);
 }
 
 /// Parallel validation round: per touched partition, latch the write set
 /// and check read versions.
-fn send_validate(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
+pub(super) fn send_validate(
+    eng: &mut EngineActor,
+    ctx: &mut Ctx<'_, Msg>,
+    txn: TxnId,
+    coord: &mut Coord,
+) {
     ctx.use_cpu(eng.txn_cpu());
     coord.phase = Phase::Validating;
     coord.pending = 0;
@@ -177,7 +123,7 @@ fn send_validate(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coor
 
 /// One partition's validation verdict; once all are in, run the decide
 /// round (or abort if nothing needs releasing).
-fn on_validate_resp(
+pub(crate) fn on_validate_resp(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
     src: NodeId,

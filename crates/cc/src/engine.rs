@@ -1,21 +1,20 @@
 //! The execution engine shell: one actor per node, playing coordinator for
 //! transactions it originates and participant for storage it owns.
 //!
-//! This module is deliberately **protocol-agnostic**. It owns the stores,
-//! metrics, input source, retry timers and the table of open transactions,
-//! and routes messages:
+//! It owns the stores, metrics, input source, retry timers and the table
+//! of open transactions, and routes every message by its kind:
 //!
 //! * participant-side verbs (lock/read, write-back, validation, inner
 //!   execution, replication) go to the storage-owner handlers in
 //!   [`crate::participant`];
-//! * coordinator-side responses go to the active
-//!   [`CoordinatorProtocol`] strategy, selected once at construction
-//!   from [`Protocol`].
+//! * coordinator-side responses go to their one handler in
+//!   [`crate::coordinator`]: lock+read responses and inner results to the
+//!   lock-based coordinator (Chiller and 2PL), versioned reads and
+//!   validation verdicts to OCC, and every commit-phase ack to the shared
+//!   ack handler.
 //!
-//! Everything protocol-specific — the §3.3 region decision, wave message
-//! types, prepare/validate rounds, decide/replicate handling — lives behind
-//! the `CoordinatorProtocol` trait in [`crate::coordinator`], with one
-//! implementation per paper protocol (`chiller`, `two_pl`, `occ`).
+//! The configured [`Protocol`] is read only at admission, wave dispatch
+//! and waves-complete time (see [`crate::coordinator`]).
 //!
 //! Up to `concurrency` transactions are open per engine (the paper's
 //! co-routines): the actor interleaves their state machines as messages
@@ -23,7 +22,7 @@
 //! exponential backoff, so contention behaves like the paper's closed-loop
 //! clients.
 
-use crate::coordinator::{self, strategy_for, Coord, CoordinatorProtocol, Phase};
+use crate::coordinator::{self, lock_based, occ, Coord, Phase};
 use crate::input::{InputSource, ProcRegistry, TxnInput};
 use crate::migration::{Migration, MigrationJob};
 use crate::msg::Msg;
@@ -122,9 +121,7 @@ pub struct EngineReport {
 pub struct EngineActor {
     pub(crate) node: NodeId,
     pub(crate) num_nodes: usize,
-    /// The active coordinator strategy (stateless; selected from the
-    /// configured [`Protocol`] at construction).
-    pub(crate) strategy: &'static dyn CoordinatorProtocol,
+    pub(crate) protocol: Protocol,
     pub(crate) config: SimConfig,
     pub(crate) registry: Arc<ProcRegistry>,
     pub(crate) placement: Arc<dyn Placement + Send + Sync>,
@@ -167,7 +164,7 @@ impl EngineActor {
         EngineActor {
             node: params.node,
             num_nodes: params.num_nodes,
-            strategy: strategy_for(params.protocol),
+            protocol: params.protocol,
             config: params.config,
             registry: params.registry,
             placement: params.placement,
@@ -190,11 +187,6 @@ impl EngineActor {
             migrated_out: HashSet::new(),
             wal: params.wal,
         }
-    }
-
-    /// The protocol this engine runs (derived from the active strategy).
-    pub fn protocol(&self) -> Protocol {
-        self.strategy.protocol()
     }
 
     /// Stop pulling new inputs; in-flight transactions run to completion
@@ -381,8 +373,8 @@ impl EngineActor {
         self.start_attempt(ctx, slot, input, 0, ctx.now());
     }
 
-    /// Admit one transaction attempt: ask the strategy for the region
-    /// split (§3.3 steps 1–2), then drive its first wave.
+    /// Admit one transaction attempt: decide the region split (§3.3 steps
+    /// 1–2), then drive its first wave.
     fn start_attempt(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -407,8 +399,7 @@ impl EngineActor {
         }
         let proc = self.registry.get(input.proc).clone();
         let exec = ExecState::new(input.params.clone(), proc.num_ops());
-        let strategy = self.strategy;
-        let split = strategy.admission_split(self, &proc, &exec);
+        let split = coordinator::admission_split(self, &proc, &exec);
         let mut coord = Coord::new(slot, input, proc, exec, split, prior_attempts, first_start);
         coordinator::drive(self, ctx, txn, &mut coord);
         if coord.phase != Phase::Done {
@@ -455,7 +446,6 @@ impl Actor<Msg> for EngineActor {
                 outer_outputs,
                 inner_ops,
                 inner_guards,
-                expect_replica_acks: _,
             } => self.handle_exec_inner(
                 ctx,
                 src,
@@ -491,8 +481,8 @@ impl Actor<Msg> for EngineActor {
                 self.on_migration_response(ctx, txn, response);
             }
 
-            // Coordinator side: responses for an open transaction are
-            // routed to the active protocol strategy.
+            // Coordinator side: each response kind for an open transaction
+            // goes to its one handler.
             response @ (Msg::LockReadResp { .. }
             | Msg::OccReadResp { .. }
             | Msg::InnerResult { .. }
@@ -510,8 +500,48 @@ impl Actor<Msg> for EngineActor {
                 let Some(mut coord) = self.txns.remove(&txn) else {
                     return;
                 };
-                let strategy = self.strategy;
-                strategy.on_response(self, ctx, src, txn, &mut coord, response);
+                debug_assert!(
+                    matches!(response, Msg::ReplicateAck { .. })
+                        || matches!(
+                            response,
+                            Msg::OccReadResp { .. }
+                                | Msg::OccValidateResp { .. }
+                                | Msg::OccDecideAck { .. }
+                        ) == (self.protocol == Protocol::Occ),
+                    "{} coordinator received {response:?}",
+                    self.protocol
+                );
+                match response {
+                    Msg::LockReadResp {
+                        req,
+                        granted,
+                        missing,
+                        stale,
+                        rows,
+                        ..
+                    } => lock_based::on_lock_read_resp(
+                        self, ctx, txn, &mut coord, req, granted, missing, stale, rows,
+                    ),
+                    Msg::InnerResult {
+                        committed,
+                        outputs,
+                        retryable,
+                        stale,
+                        ..
+                    } => lock_based::on_inner_result(
+                        self, ctx, txn, &mut coord, committed, outputs, retryable, stale,
+                    ),
+                    Msg::OccReadResp { req, rows, .. } => {
+                        occ::on_read_resp(self, ctx, txn, &mut coord, req, rows)
+                    }
+                    Msg::OccValidateResp { ok, .. } => {
+                        occ::on_validate_resp(self, ctx, src, txn, &mut coord, ok)
+                    }
+                    Msg::CommitOuterAck { .. }
+                    | Msg::ReplicateAck { .. }
+                    | Msg::OccDecideAck { .. } => coordinator::on_ack(self, ctx, txn, &mut coord),
+                    _ => unreachable!("not a coordinator response"),
+                }
                 if coord.phase != Phase::Done {
                     self.txns.insert(txn, coord);
                 }

@@ -23,10 +23,10 @@
 //! for storage it owns, interleaving up to `concurrency` open transactions
 //! exactly like the paper's co-routines (§6).
 //!
-//! The engine itself is a protocol-agnostic shell: everything
-//! protocol-specific lives behind the
-//! [`coordinator::CoordinatorProtocol`] strategy trait, with one
-//! implementation per protocol under [`coordinator`].
+//! Two coordinators live under [`coordinator`]: a lock-based one, which
+//! runs Chiller and, as its single-region case, 2PL; and OCC. The
+//! [`Protocol`] is read at admission, wave dispatch and waves-complete
+//! time; the engine routes each response by its message kind.
 
 pub mod coordinator;
 pub mod engine;
@@ -36,7 +36,6 @@ pub mod msg;
 pub mod participant;
 pub mod protocol;
 
-pub use coordinator::CoordinatorProtocol;
 pub use engine::{EngineActor, EngineReport, HotSet};
 pub use input::{InputSource, ProcRegistry, TxnInput};
 pub use migration::MigrationJob;

@@ -83,8 +83,6 @@ pub enum Msg {
         txn: TxnId,
         req: u64,
         granted: bool,
-        /// The record that conflicted, when `!granted`.
-        conflict: Option<RecordId>,
         /// Missing-record op (treated as a non-retryable logic failure).
         missing: Option<RecordId>,
         /// The conflict came from a stale-routing race (the record migrated
@@ -121,9 +119,6 @@ pub enum Msg {
         /// Indices into the procedure's guards that the inner host must
         /// check before committing.
         inner_guards: Vec<usize>,
-        /// How many replica acks the coordinator will wait for (so it can
-        /// arm its counter before results race back).
-        expect_replica_acks: usize,
     },
     /// Inner host's unilateral decision (§3.3 step 4 → 5).
     InnerResult {
@@ -206,7 +201,6 @@ pub enum Msg {
     OccValidateResp {
         txn: TxnId,
         ok: bool,
-        conflict: Option<RecordId>,
     },
     /// Second round: apply writes + release latches (or just release).
     OccDecide {
@@ -361,7 +355,6 @@ mod tests {
                 outer_outputs: vec![],
                 inner_ops: vec![],
                 inner_guards: vec![],
-                expect_replica_acks: 0,
             }
             .verb(),
             Verb::Rpc

@@ -95,7 +95,7 @@ impl EngineActor {
         // what was granted is always a prefix of `items`.
         let mut granted = 0;
         let mut rows: Vec<(OpId, Row)> = Vec::new();
-        let mut conflict = None;
+        let mut conflict = false;
         let mut missing = None;
         let mut stale = false;
         for item in &items {
@@ -105,7 +105,7 @@ impl EngineActor {
                     self.trace_lock_acquire(item.record, txn, now);
                 }
                 Err(_) => {
-                    conflict = Some(item.record);
+                    conflict = true;
                     break;
                 }
             }
@@ -117,7 +117,7 @@ impl EngineActor {
                 // directory and lands at the new owner. This covers both
                 // the read/update miss and the insert that would otherwise
                 // succeed here and duplicate the record at its old home.
-                conflict = Some(item.record);
+                conflict = true;
                 stale = true;
                 break;
             }
@@ -138,7 +138,7 @@ impl EngineActor {
                 self.observe_read(txn, item.record, now);
             }
         }
-        let ok = conflict.is_none() && missing.is_none();
+        let ok = !conflict && missing.is_none();
         if !ok {
             for item in &items[..granted] {
                 self.unlock_with_metrics(item.record, txn, now);
@@ -152,7 +152,6 @@ impl EngineActor {
                 txn,
                 req,
                 granted: ok,
-                conflict,
                 missing,
                 stale,
                 rows,
@@ -347,7 +346,7 @@ impl EngineActor {
     ) {
         let now = ctx.now();
         let mut latched: Vec<RecordId> = Vec::new();
-        let mut conflict = None;
+        let mut ok = true;
         for it in &items {
             if it.is_write {
                 match self
@@ -359,17 +358,16 @@ impl EngineActor {
                         self.trace_lock_acquire(it.record, txn, now);
                     }
                     Err(_) => {
-                        conflict = Some(it.record);
+                        ok = false;
                         break;
                     }
                 }
             }
             if self.store.version(it.record) != it.version {
-                conflict = Some(it.record);
+                ok = false;
                 break;
             }
         }
-        let ok = conflict.is_none();
         if !ok {
             for rid in latched {
                 self.unlock_with_metrics(rid, txn, now);
@@ -379,7 +377,7 @@ impl EngineActor {
         ctx.send(
             src,
             chiller_simnet::Verb::OneSided,
-            Msg::OccValidateResp { txn, ok, conflict },
+            Msg::OccValidateResp { txn, ok },
         );
     }
 

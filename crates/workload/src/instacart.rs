@@ -298,28 +298,6 @@ impl InputSource for InstacartSource {
     }
 }
 
-/// A trending-products source: from `shift_at` on, product `p` rotates to
-/// `(p + rotate) % products` — yesterday's staples go quiet and a fresh
-/// set of products takes over the popularity head (order keys untouched).
-pub fn shifting_source(
-    cfg: &InstacartConfig,
-    procs: InstacartProcs,
-    node: u64,
-    shift_at: SimTime,
-    rotate: u64,
-) -> crate::shift::ShiftedSource<InstacartSource> {
-    let products = cfg.products as u64;
-    crate::shift::ShiftedSource::new(
-        InstacartSource::new(cfg, procs, node),
-        shift_at,
-        move |input| {
-            for p in input.params.iter_mut().skip(1) {
-                *p = crate::shift::rotate_key(p, rotate, products);
-            }
-        },
-    )
-}
-
 /// Placement wrapper: order records (unique, insert-only) live on the
 /// inserting coordinator's partition (their key carries the node id in the
 /// high bits), while stock records follow the partitioning scheme under
