@@ -18,7 +18,7 @@ use super::{
 };
 use crate::engine::EngineActor;
 use crate::msg::{LockReadItem, Msg};
-use chiller_common::ids::{NodeId, OpId, RecordId, TxnId};
+use chiller_common::ids::{NodeId, OpId, TxnId};
 use chiller_common::metrics::AbortReason;
 use chiller_common::value::Row;
 use chiller_simnet::{Ctx, Verb};
@@ -76,7 +76,7 @@ pub(crate) fn on_lock_read_resp(
     coord: &mut Coord,
     req: u64,
     granted: bool,
-    missing: Option<RecordId>,
+    missing: bool,
     stale: bool,
     rows: Vec<(OpId, Row)>,
 ) {
@@ -100,7 +100,7 @@ pub(crate) fn on_lock_read_resp(
                 coord.ops[op_id.idx()].raw_row = Some(row);
             }
         }
-    } else if missing.is_some() {
+    } else if missing {
         coord.failed = Some(FailKind::Logic);
     } else if stale {
         coord.failed = Some(FailKind::Transient(AbortReason::MigrationStaleRoute));

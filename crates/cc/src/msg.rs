@@ -83,8 +83,9 @@ pub enum Msg {
         txn: TxnId,
         req: u64,
         granted: bool,
-        /// Missing-record op (treated as a non-retryable logic failure).
-        missing: Option<RecordId>,
+        /// An existence precondition failed (treated as a non-retryable
+        /// logic failure).
+        missing: bool,
         /// The conflict came from a stale-routing race (the record migrated
         /// away after the coordinator resolved its placement), not a held
         /// lock — distinguishes the abort-reason taxonomy entries.

@@ -96,7 +96,7 @@ impl EngineActor {
         let mut granted = 0;
         let mut rows: Vec<(OpId, Row)> = Vec::new();
         let mut conflict = false;
-        let mut missing = None;
+        let mut missing = false;
         let mut stale = false;
         for item in &items {
             match self.store.try_lock(item.record, txn, item.mode, now) {
@@ -124,7 +124,7 @@ impl EngineActor {
             if exists == item.expect_absent {
                 // Existence precondition failed (missing record, or insert
                 // target already present): a non-retryable fault.
-                missing = Some(item.record);
+                missing = true;
                 break;
             }
             if item.want_row {
@@ -138,7 +138,7 @@ impl EngineActor {
                 self.observe_read(txn, item.record, now);
             }
         }
-        let ok = !conflict && missing.is_none();
+        let ok = !conflict && !missing;
         if !ok {
             for item in &items[..granted] {
                 self.unlock_with_metrics(item.record, txn, now);

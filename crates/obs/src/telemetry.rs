@@ -28,7 +28,7 @@ pub struct RuntimeTelemetry {
     /// Worker turns that made zero progress (pure flush-stall retry;
     /// each forces a `yield_now` — see DESIGN §12).
     pub zero_progress_turns: u64,
-    /// Tasks pushed to a worker's own deque (worker pool).
+    /// Tasks pushed to a worker's deque (worker pool).
     pub tasks_pushed: u64,
     /// Tasks pushed through the shared injector (worker pool).
     pub tasks_injected: u64,
@@ -36,7 +36,8 @@ pub struct RuntimeTelemetry {
     pub tasks_popped: u64,
     /// Tasks moved between workers by stealing (worker pool).
     pub tasks_stolen: u64,
-    /// Steal operations (each moves a front-half batch).
+    /// Steal operations (each moves one task, so this equals
+    /// `tasks_stolen`).
     pub steal_batches: u64,
     /// Engine notifications that enqueued a task (IDLE→QUEUED transitions;
     /// notifications during RUNNING convert to DIRTY and are not counted).

@@ -7,7 +7,10 @@
 //!
 //! * [`TaskQueue`] — the ready queue: one FIFO deque per worker plus a
 //!   shared injector, with work stealing. A worker pops its own deque
-//!   first, then the injector, then steals a batch from a sibling.
+//!   first, then the injector, then steals one task — the oldest — from
+//!   a sibling. The producer picks the deque (the async runtime queues an
+//!   engine on the worker that last ran it), and a thief moves one task
+//!   at a time, so tasks stay on the worker whose cache holds their state.
 //! * [`SchedState`] — the per-task scheduling state machine
 //!   (IDLE / QUEUED / RUNNING / DIRTY) that guarantees a task id is in
 //!   the ready queue **at most once** while making missed wakeups
@@ -53,7 +56,7 @@ pub struct QueueStats {
 /// A point-in-time copy of [`QueueStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueSnapshot {
-    /// Tasks pushed onto a worker's own deque.
+    /// Tasks pushed onto a worker's deque.
     pub pushed: u64,
     /// Tasks pushed through the shared injector.
     pub injected: u64,
@@ -61,7 +64,7 @@ pub struct QueueSnapshot {
     pub popped: u64,
     /// Tasks that changed workers via stealing.
     pub stolen: u64,
-    /// Steal operations (each moves a front-half batch).
+    /// Steal operations (each moves one task, so this equals `stolen`).
     pub steal_batches: u64,
 }
 
@@ -115,8 +118,9 @@ impl TaskQueue {
         self.locals.len()
     }
 
-    /// Push `task` onto worker `worker`'s own deque (the producer is the
-    /// worker that just made the task ready — locality-preserving).
+    /// Push `task` onto worker `worker`'s deque. Any thread may push onto
+    /// any deque; the caller picks the worker (the async runtime picks
+    /// the one that last ran the task — locality-preserving).
     pub fn push_local(&self, worker: usize, task: usize) {
         self.locals[worker]
             .lock()
@@ -132,9 +136,8 @@ impl TaskQueue {
     }
 
     /// Next ready task for worker `worker`: own deque front, else
-    /// injector front, else steal the front half of the fullest sibling
-    /// deque (oldest tasks — the steal preserves each deque's FIFO
-    /// order). Returns `None` when every source is empty.
+    /// injector front, else the oldest task of a sibling deque. Returns
+    /// `None` when every source is empty.
     pub fn pop(&self, worker: usize) -> Option<usize> {
         if let Some(t) = self.locals[worker]
             .lock()
@@ -155,34 +158,21 @@ impl TaskQueue {
         t
     }
 
-    /// Steal for `thief`: scan siblings round-robin from `thief + 1`,
-    /// take the front half (rounded up) of the first non-empty deque,
-    /// keep the remainder of the batch on the thief's own deque, and
-    /// return the first stolen task.
+    /// Steal for `thief`: scan siblings round-robin from `thief + 1` and
+    /// take the oldest task of the first non-empty deque. One task, not a
+    /// batch: every other task stays queued on the worker whose cache
+    /// holds its state.
     fn steal(&self, thief: usize) -> Option<usize> {
         let n = self.locals.len();
-        for off in 1..n {
-            let victim = (thief + off) % n;
-            let mut batch: Vec<usize> = {
-                let mut v = self.locals[victim].lock().expect("task deque lock");
-                let take = v.len().div_ceil(2);
-                v.drain(..take).collect()
-            };
-            if batch.is_empty() {
-                continue;
-            }
-            self.stats.steal_batches.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .stolen
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            let first = batch.remove(0);
-            if !batch.is_empty() {
-                let mut own = self.locals[thief].lock().expect("task deque lock");
-                own.extend(batch);
-            }
-            return Some(first);
-        }
-        None
+        let t = (1..n).find_map(|off| {
+            self.locals[(thief + off) % n]
+                .lock()
+                .expect("task deque lock")
+                .pop_front()
+        })?;
+        self.stats.steal_batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.stolen.fetch_add(1, Ordering::Relaxed);
+        Some(t)
     }
 
     /// Whether any deque or the injector currently holds a task. Racy by
@@ -349,11 +339,17 @@ impl Parker {
         self.sleeping.store(false, Ordering::Relaxed);
     }
 
+    /// Whether the worker has published a park (it is parked or about to
+    /// park).
+    pub fn is_parked(&self) -> bool {
+        self.sleeping.load(Ordering::SeqCst)
+    }
+
     /// Producer side: wake the worker iff it is parked or about to park.
-    /// The fast path (worker awake) is a single relaxed load. Returns
-    /// whether a wake was delivered.
+    /// The fast path (worker awake) is a single load. Returns whether a
+    /// wake was delivered.
     pub fn wake(&self) -> bool {
-        if self.sleeping.load(Ordering::Relaxed) && self.sleeping.swap(false, Ordering::SeqCst) {
+        if self.is_parked() && self.sleeping.swap(false, Ordering::SeqCst) {
             if let Some(t) = self.thread.lock().expect("parker lock").as_ref() {
                 t.unpark();
                 self.wakes.fetch_add(1, Ordering::Relaxed);
@@ -403,21 +399,23 @@ mod tests {
     }
 
     #[test]
-    fn steal_takes_front_half_and_preserves_order() {
+    fn steal_takes_only_the_oldest_task() {
         let q = TaskQueue::new(2);
-        for t in 0..6 {
+        for t in 0..4 {
             q.push_local(1, t);
         }
-        // Worker 0 steals: takes 0..3 (front half), returns 0, keeps 1,2.
+        // Worker 0 steals one task, the victim's oldest.
         assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), Some(2));
-        // Victim keeps its back half in order.
+        assert_eq!(q.stats().stolen, 1);
+        // The rest stay on the victim, in FIFO order.
+        assert_eq!(q.pop(1), Some(1));
+        q.push_local(1, 4);
+        assert_eq!(q.pop(0), Some(2), "the next steal takes the new oldest");
         assert_eq!(q.pop(1), Some(3));
         assert_eq!(q.pop(1), Some(4));
-        assert_eq!(q.pop(1), Some(5));
         assert_eq!(q.pop(0), None);
         assert_eq!(q.pop(1), None);
+        assert_eq!(q.stats().steal_batches, 2);
     }
 
     #[test]
@@ -564,13 +562,13 @@ mod tests {
         q.inject(20);
         // Worker 0: own deque empty, injector first.
         assert_eq!(q.pop(0), Some(20));
-        // Then a steal of the front half (2 of 4 tasks).
+        // Then a steal of the victim's oldest task only.
         assert_eq!(q.pop(0), Some(10));
         let s = q.stats();
         assert_eq!(s.pushed, 4);
         assert_eq!(s.injected, 1);
         assert_eq!(s.popped, 2);
-        assert_eq!(s.stolen, 2);
+        assert_eq!(s.stolen, 1);
         assert_eq!(s.steal_batches, 1);
     }
 

@@ -22,6 +22,13 @@
 //! each engine slot is uncontended by construction and exists to move
 //! ownership safely between workers and the paused-phase main thread.
 //!
+//! An engine is queued on the worker that **last ran it**, whose cache
+//! holds its store, coordinator map and metrics: every turn records its
+//! worker in a per-engine slot, and every notify — message delivery,
+//! timer expiry, control-plane injection — pushes the engine onto that
+//! worker's deque. An idle sibling steals one engine, the oldest, so an
+//! engine changes worker only when its own worker is busy or parked.
+//!
 //! ## Protocols
 //!
 //! * **Mailboxes** — one bounded lock-free sequence-slot ring per engine
@@ -54,14 +61,21 @@
 //!   armed timer and no handler mid-flight; workers exit when they read
 //!   it.
 //! * **Park/unpark** — idle workers use a publish-then-recheck handshake
-//!   (`taskq::Parker`); making an engine ready wakes one sleeping worker,
-//!   and a missed race costs at most one bounded park (`MAX_PARK_NS`).
+//!   (`taskq::Parker`). A notify whose target worker is awake sends no
+//!   wake; if that worker is parked, the engine goes to the notifier's
+//!   deque instead and one sleeping worker is woken. After pushing onto
+//!   another worker's deque the notifier re-checks that worker's parker
+//!   (SeqCst) and wakes it if it parked in between: either its re-check
+//!   sees the push or the notifier sees its flag. A missed race costs at
+//!   most one bounded park (`MAX_PARK_NS`).
 //! * **Timers** — each worker owns a hashed [`TimerWheel`] plus a slab
-//!   mapping wheel tokens to `(engine, actor token)`. Expired entries are
-//!   routed to the owning engine's fire queue and the engine is notified;
-//!   it fires them at the start of its next turn. An idle worker parks
-//!   until its next due time, so timer slop is bounded by the OS sleep
-//!   granularity plus queueing delay.
+//!   mapping wheel tokens to `(engine, actor token)`. A timer goes to the
+//!   wheel of the worker running the engine when it is armed. Expired
+//!   entries are routed to the owning engine's fire queue and the engine
+//!   is notified onto the worker that last ran it; it fires them at the
+//!   start of its next turn. An idle worker parks until its next due
+//!   time, so timer slop is bounded by the OS sleep granularity plus
+//!   queueing delay.
 //! * **`use_cpu`** — a no-op: real CPU is consumed by actually executing
 //!   the handler.
 //!
@@ -79,7 +93,7 @@ use chiller_common::metrics::Histogram;
 use chiller_common::time::{Duration, SimTime};
 use chiller_obs::RuntimeTelemetry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -251,6 +265,9 @@ struct Shared<M> {
     fires: Vec<Mutex<VecDeque<u64>>>,
     /// The ready queue of engine ids.
     queue: taskq::TaskQueue,
+    /// Per engine: the worker that last began a turn of it (its home
+    /// until it is first run). `notify` queues the engine there.
+    last_worker: Vec<AtomicUsize>,
     /// One park slot per *worker* (not per engine).
     parkers: Vec<taskq::Parker>,
     /// Notifies that won the enqueue duty (engine went IDLE → QUEUED).
@@ -275,17 +292,29 @@ impl<M> Shared<M> {
     }
 
     /// Make engine `e` ready: hand the enqueue duty through its state
-    /// machine, push onto the caller's local deque (worker context) or
-    /// the injector (control plane), and wake one sleeping worker.
+    /// machine and queue `e` on the worker that last ran it, whose cache
+    /// holds its state. That worker is awake, so no wake is sent. If it
+    /// is parked, fall back to the caller's own deque (worker context) or
+    /// the injector (control plane) and wake one sleeping worker.
     fn notify(&self, e: usize, from_worker: Option<usize>) {
-        if self.scheds[e].notify() {
-            self.notifies.fetch_add(1, Ordering::Relaxed);
-            match from_worker {
-                Some(w) => self.queue.push_local(w, e),
-                None => self.queue.inject(e),
-            }
-            self.wake_one(from_worker);
+        if !self.scheds[e].notify() {
+            return;
         }
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        let last = self.last_worker[e].load(Ordering::Relaxed);
+        let parker = &self.parkers[last];
+        if from_worker == Some(last) || !parker.is_parked() {
+            self.queue.push_local(last, e);
+            // `last` may have published its park after the check, and
+            // its re-check may have run before the push: wake it.
+            parker.wake();
+            return;
+        }
+        match from_worker {
+            Some(w) => self.queue.push_local(w, e),
+            None => self.queue.inject(e),
+        }
+        self.wake_one(from_worker);
     }
 
     /// Wake one sleeping worker (skipping the caller, which is awake).
@@ -368,6 +397,7 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
                 scheds: (0..n).map(|_| taskq::SchedState::new()).collect(),
                 fires: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
                 queue: taskq::TaskQueue::new(nworkers),
+                last_worker: (0..n).map(|e| AtomicUsize::new(e % nworkers)).collect(),
                 parkers: (0..nworkers).map(|_| taskq::Parker::new()).collect(),
                 notifies: AtomicU64::new(0),
                 zero_progress_turns: AtomicU64::new(0),
@@ -381,14 +411,6 @@ impl<M: Send, A: Actor<M> + Send> AsyncRuntime<M, A> {
     /// The worker-pool size (fixed at construction).
     pub fn worker_count(&self) -> usize {
         self.nworkers
-    }
-
-    /// The timer domain of engine `node` for control-plane injection:
-    /// timers armed while paused go to the engine's home worker's wheel.
-    /// (While running, timers go to whichever worker is running the
-    /// engine — domains only affect which thread fires them.)
-    fn home_worker(&self, node: usize) -> usize {
-        node % self.nworkers
     }
 
     /// Run one phase: move actors+states into the slots, spawn the
@@ -507,6 +529,7 @@ fn run_engine<M, A: Actor<M>>(
     slots: &[EngineSlot<M, A>],
 ) -> bool {
     shared.scheds[e].begin();
+    shared.last_worker[e].store(w, Ordering::Relaxed);
     let mut guard = slots[e].cell.lock().expect("engine slot lock");
     let eng = guard.as_mut().expect("engine present during phase");
     let (actor, st) = (&mut eng.actor, &mut eng.st);
@@ -723,7 +746,7 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
 
     fn with_actor_ctx(&mut self, node: NodeId, f: &mut dyn FnMut(&mut A, &mut Ctx<'_, M>)) {
         let e = node.idx();
-        let w = self.home_worker(e);
+        let w = self.shared.last_worker[e].load(Ordering::Relaxed);
         let st = &mut self.states[e];
         {
             let mut mb = AsyncMailbox {
@@ -1171,6 +1194,51 @@ mod tests {
         ticker.run_to_quiescence(u64::MAX);
         let tel = Runtime::telemetry(&ticker);
         assert_eq!(tel.timer_slop.count(), 10, "one slop sample per fire");
+    }
+
+    /// `notify` queues an engine on the worker that last ran it while that
+    /// worker is awake, and falls back to the notifier's deque plus a wake
+    /// when it is parked. Driven on a paused two-worker pool, so every
+    /// queue and parker move is the notify's own.
+    #[test]
+    fn notify_routes_to_the_last_worker() {
+        let mut rt = AsyncRuntime::with_config(
+            (0..2)
+                .map(|_| TestActor::Recorder {
+                    received: Vec::new(),
+                })
+                .collect(),
+            config(64, 2),
+        );
+        let sh = &rt.shared;
+        sh.last_worker[0].store(1, Ordering::Relaxed);
+        let run_once = |w: usize| {
+            assert_eq!(sh.queue.pop(w), Some(0));
+            assert_eq!(sh.queue.stats().stolen, 0, "popped from its own deque");
+            sh.scheds[0].begin();
+            assert!(!sh.scheds[0].finish(false));
+        };
+
+        // Worker 1 awake: engine 0 lands on its deque, and no wake is sent.
+        sh.notify(0, Some(0));
+        run_once(1);
+        assert_eq!(sh.parkers[1].wakes(), 0);
+
+        // Worker 1 parked: the notifier's deque, plus one wake.
+        sh.parkers[1].register();
+        sh.parkers[1].prepare_park();
+        sh.notify(0, Some(0));
+        run_once(0);
+        assert_eq!(sh.parkers[1].wakes(), 1);
+
+        // The control plane reaches the last worker too.
+        rt.with_actor_ctx(NodeId(0), &mut |_a, ctx| {
+            ctx.send(NodeId(1), Verb::OneSided, 7);
+        });
+        let sh = &rt.shared;
+        assert_eq!(sh.queue.stats().injected, 0);
+        assert_eq!(sh.queue.pop(1), Some(0));
+        assert_eq!(sh.queue.stats().stolen, 0);
     }
 
     #[test]
