@@ -82,7 +82,7 @@ pub(crate) fn on_lock_read_resp(
 ) {
     coord.pending -= 1;
     ctx.use_cpu(eng.op_cpu());
-    let ops = coord.inflight.remove(&req).expect("unknown request id");
+    let ops = std::mem::take(&mut coord.inflight[req as usize - 1]);
     if granted {
         for &id in &ops {
             let st = &mut coord.ops[id.idx()];
@@ -113,7 +113,7 @@ pub(crate) fn on_lock_read_resp(
 /// §3.3 step 4: ship the inner region to the inner host.
 fn send_inner(eng: &mut EngineActor, ctx: &mut Ctx<'_, Msg>, txn: TxnId, coord: &mut Coord) {
     let host = coord.split.inner_host.expect("two-region");
-    coord.participants.insert(host);
+    coord.add_participant(host);
     let inner_has_writes = coord
         .split
         .inner_ops

@@ -28,13 +28,13 @@
 pub(crate) mod lock_based;
 pub(crate) mod occ;
 
-use crate::engine::EngineActor;
+use crate::engine::{EngineActor, SlotState};
 use crate::input::TxnInput;
 use crate::msg::{Msg, WriteItem, WriteKind};
 use crate::protocol::Protocol;
 use chiller_common::ids::{NodeId, OpId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::AbortReason;
-use chiller_common::time::SimTime;
+use chiller_common::time::{Duration, SimTime};
 use chiller_common::value::Row;
 use chiller_obs::EventKind;
 use chiller_simnet::{Ctx, Verb};
@@ -42,7 +42,6 @@ use chiller_sproc::decision::GuardSite;
 use chiller_sproc::op::OpKind;
 use chiller_sproc::{decide_regions, ExecState, Procedure, RegionSplit};
 use chiller_storage::lock::LockMode;
-use std::collections::{BTreeSet, HashMap};
 use std::iter::Peekable;
 use std::sync::Arc;
 
@@ -95,9 +94,10 @@ pub enum FailKind {
 }
 
 /// Coordinator state-machine phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Phase {
     /// Waves in flight (lock+read or versioned read).
+    #[default]
     Executing,
     /// Chiller: waiting for the inner result + inner replica acks.
     InnerWait,
@@ -107,13 +107,14 @@ pub enum Phase {
     Committing,
     /// OCC abort: waiting for latch-release acks before retrying.
     Aborting,
-    /// Terminal: the engine must not reinsert this coordinator entry.
-    Done,
 }
 
-/// Coordinator state for one in-flight transaction attempt.
+/// Coordinator state for one transaction slot's current (or, while the slot
+/// backs off, last) attempt. The engine allocates one per slot and resets it
+/// for each attempt with `Coord::begin`, so its vectors keep their
+/// capacity.
+#[derive(Default)]
 pub struct Coord {
-    pub(crate) slot: usize,
     pub(crate) input: TxnInput,
     pub(crate) proc: Arc<Procedure>,
     pub(crate) exec: ExecState,
@@ -123,58 +124,55 @@ pub struct Coord {
     pub(crate) phase: Phase,
     pub(crate) pending: usize,
     pub(crate) failed: Option<FailKind>,
-    /// Request-id → ops carried by that in-flight access message.
-    pub(crate) inflight: HashMap<u64, Vec<OpId>>,
+    /// Ops carried by each access message, indexed by request id − 1.
+    pub(crate) inflight: Vec<Vec<OpId>>,
     pub(crate) next_req: u64,
     /// Outer locks currently held.
     pub(crate) held_locks: Vec<(PartitionId, RecordId)>,
     /// Buffered writes (applied at commit).
     pub(crate) writes: Vec<(PartitionId, WriteItem)>,
-    /// All partitions this attempt touched.
-    pub(crate) participants: BTreeSet<PartitionId>,
+    /// All partitions this attempt touched, ascending, each once.
+    pub(crate) participants: Vec<PartitionId>,
     /// Chiller: inner-region progress.
     pub(crate) inner_sent: bool,
     pub(crate) inner_ok: bool,
     /// OCC: partitions that responded OK to validation (holding latches).
     pub(crate) validated_ok: Vec<PartitionId>,
-    /// Retry bookkeeping (attempts includes the current one).
+    /// Retry bookkeeping (attempts includes the current one; both are
+    /// reset by a fresh input, not by a retry).
     pub(crate) attempts: u32,
     pub(crate) first_start: SimTime,
 }
 
 impl Coord {
-    pub(crate) fn new(
-        slot: usize,
-        input: TxnInput,
-        proc: Arc<Procedure>,
-        exec: ExecState,
-        split: RegionSplit,
-        prior_attempts: u32,
-        first_start: SimTime,
-    ) -> Self {
+    /// Reset every per-attempt field for the next attempt of `self.input`
+    /// under `proc`. The caller then decides `split`.
+    pub(crate) fn begin(&mut self, proc: Arc<Procedure>) {
         let n = proc.num_ops();
-        let num_guards = proc.guards.len();
-        Coord {
-            slot,
-            input,
-            proc,
-            exec,
-            split,
-            ops: vec![OpState::default(); n],
-            guards_checked: vec![false; num_guards],
-            phase: Phase::Executing,
-            pending: 0,
-            failed: None,
-            inflight: HashMap::new(),
-            next_req: 0,
-            held_locks: Vec::new(),
-            writes: Vec::new(),
-            participants: BTreeSet::new(),
-            inner_sent: false,
-            inner_ok: false,
-            validated_ok: Vec::new(),
-            attempts: prior_attempts + 1,
-            first_start,
+        self.exec.reset(&self.input.params, n);
+        self.ops.clear();
+        self.ops.resize(n, OpState::default());
+        self.guards_checked.clear();
+        self.guards_checked.resize(proc.guards.len(), false);
+        self.proc = proc;
+        self.phase = Phase::Executing;
+        self.pending = 0;
+        self.failed = None;
+        self.inflight.clear();
+        self.next_req = 0;
+        self.held_locks.clear();
+        self.writes.clear();
+        self.participants.clear();
+        self.inner_sent = false;
+        self.inner_ok = false;
+        self.validated_ok.clear();
+        self.attempts += 1;
+    }
+
+    /// Add `part` to the participants, keeping them sorted and distinct.
+    pub(crate) fn add_participant(&mut self, part: PartitionId) {
+        if let Err(at) = self.participants.binary_search(&part) {
+            self.participants.insert(at, part);
         }
     }
 }
@@ -380,7 +378,7 @@ fn issue_wave(
         coord.ops[i].issued = true;
         coord.ops[i].record = Some(rid);
         coord.ops[i].partition = Some(part);
-        coord.participants.insert(part);
+        coord.add_participant(part);
         ready.push((part, id));
         ctx.use_cpu(eng.op_cpu());
     }
@@ -396,7 +394,8 @@ fn issue_wave(
             }
             Protocol::Occ => occ::read_message(coord, txn, req, &op_ids),
         };
-        coord.inflight.insert(req, op_ids);
+        debug_assert_eq!(coord.inflight.len() as u64, req - 1);
+        coord.inflight.push(op_ids);
         let verb = msg.verb();
         if target != eng.node && eng.tracer.enabled() {
             let label = msg.kind_label();
@@ -470,7 +469,7 @@ pub(crate) fn log_decide(
     });
 }
 
-/// Account a successful commit and free the slot. Sets `Phase::Done`.
+/// Account a successful commit and free the slot.
 pub(crate) fn finish_commit(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
@@ -540,12 +539,11 @@ pub(crate) fn finish_commit(
     // only becomes visible to recovery once flushed — and every kill point
     // in the crash harness sits at a flush boundary — so acked ⟺ durable.
     eng.wal_append(chiller_storage::wal::WalRecord::Ack { txn });
-    coord.phase = Phase::Done;
-    eng.schedule_fresh_start(ctx, coord.slot);
+    eng.end_attempt(ctx, txn, SlotState::Idle, Duration::ZERO);
 }
 
 /// Abort the current attempt: release outer locks, account, and retry
-/// (transient) or give up (logic). Sets `Phase::Done`.
+/// (transient) or give up (logic).
 pub(crate) fn abort_attempt(
     eng: &mut EngineActor,
     ctx: &mut Ctx<'_, Msg>,
@@ -567,8 +565,6 @@ pub(crate) fn abort_attempt(
     }
     let kind = coord.failed.expect("abort without failure");
     let name = eng.proc_name(&coord.input);
-    let slot = coord.slot;
-    coord.phase = Phase::Done;
     if eng.tracer.enabled() {
         let reason = match kind {
             FailKind::Transient(r) => Some(r),
@@ -584,22 +580,14 @@ pub(crate) fn abort_attempt(
             },
         );
     }
-    match kind {
+    let (next, delay) = match kind {
         FailKind::Transient(reason) => {
             eng.metrics.type_stats(name).aborts += 1;
             eng.metrics.abort_reasons.record(reason);
             if coord.attempts >= eng.config.engine.max_retries {
-                eng.schedule_fresh_start(ctx, slot);
+                (SlotState::Idle, Duration::ZERO)
             } else {
-                let input = std::mem::replace(
-                    &mut coord.input,
-                    TxnInput {
-                        proc: 0,
-                        params: Vec::new(),
-                    },
-                );
-                let backoff =
-                    eng.schedule_retry(ctx, slot, input, coord.attempts, coord.first_start);
+                let backoff = eng.backoff_for(coord.attempts);
                 if eng.tracer.enabled() {
                     eng.tracer.record(
                         ctx.now().as_nanos(),
@@ -611,11 +599,13 @@ pub(crate) fn abort_attempt(
                         },
                     );
                 }
+                (SlotState::Backoff, backoff)
             }
         }
         FailKind::Logic => {
             eng.metrics.type_stats(name).logic_aborts += 1;
-            eng.schedule_fresh_start(ctx, slot);
+            (SlotState::Idle, Duration::ZERO)
         }
-    }
+    };
+    eng.end_attempt(ctx, txn, next, delay);
 }

@@ -48,7 +48,7 @@ pub(crate) fn on_read_resp(
 ) {
     coord.pending -= 1;
     ctx.use_cpu(eng.op_cpu());
-    coord.inflight.remove(&req);
+    coord.inflight[req as usize - 1] = Vec::new();
     for (op_id, row, version) in rows {
         let st = &mut coord.ops[op_id.idx()];
         st.responded = true;

@@ -1,8 +1,8 @@
 //! The execution engine shell: one actor per node, playing coordinator for
 //! transactions it originates and participant for storage it owns.
 //!
-//! It owns the stores, metrics, input source, retry timers and the table
-//! of open transactions, and routes every message by its kind:
+//! It owns the stores, metrics, input source and the slot table, and
+//! routes every message by its kind:
 //!
 //! * participant-side verbs (lock/read, write-back, validation, inner
 //!   execution, replication) go to the storage-owner handlers in
@@ -16,13 +16,12 @@
 //! The configured [`Protocol`] is read only at admission, wave dispatch
 //! and waves-complete time (see [`crate::coordinator`]).
 //!
-//! Up to `concurrency` transactions are open per engine (the paper's
-//! co-routines): the actor interleaves their state machines as messages
-//! arrive. NO_WAIT aborts retry the *same input* after a jittered
-//! exponential backoff, so contention behaves like the paper's closed-loop
-//! clients.
+//! The engine runs `concurrency` transaction slots (the paper's
+//! co-routines), each with at most one attempt and one timer (`SlotState`).
+//! NO_WAIT aborts retry the *same input* after a jittered exponential
+//! backoff, so contention behaves like the paper's closed-loop clients.
 
-use crate::coordinator::{self, lock_based, occ, Coord, Phase};
+use crate::coordinator::{self, lock_based, occ, Coord};
 use crate::input::{InputSource, ProcRegistry, TxnInput};
 use crate::migration::{Migration, MigrationJob};
 use crate::msg::Msg;
@@ -33,10 +32,9 @@ use chiller_common::config::SimConfig;
 use chiller_common::ids::{NodeId, PartitionId, RecordId, TxnId};
 use chiller_common::metrics::MetricSet;
 use chiller_common::rng::{derive_seed, seeded};
-use chiller_common::time::{Duration, SimTime};
+use chiller_common::time::Duration;
 use chiller_obs::{EventKind, History, HistoryRecorder, TraceLog, Tracer};
 use chiller_simnet::{Actor, Ctx, Verb};
-use chiller_sproc::ExecState;
 use chiller_storage::placement::Placement;
 use chiller_storage::store::PartitionStore;
 use chiller_storage::wal::{Wal, WalRecord, WalStats};
@@ -44,8 +42,7 @@ use rand::rngs::StdRng;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-const TOKEN_START: u64 = 1 << 32;
-const TOKEN_RETRY: u64 = 2 << 32;
+/// A slot's timer token is its index; a migration retry's sets this bit.
 pub(crate) const TOKEN_MIG: u64 = 4 << 32;
 pub(crate) const TOKEN_MASK: u64 = (1 << 32) - 1;
 
@@ -110,6 +107,27 @@ pub struct EngineParams {
     pub txn_seq_start: u64,
 }
 
+/// What a transaction slot is doing, and so what its one timer means.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum SlotState {
+    /// No attempt open; the timer admits a fresh input, if still accepting.
+    #[default]
+    Idle,
+    /// This attempt runs on the slot's coordinator; no timer is set.
+    Running(TxnId),
+    /// The last attempt aborted; the timer admits its input again.
+    Backoff,
+}
+
+/// One closed-loop transaction slot: its state and its coordinator,
+/// allocated at the slot's first attempt and reset for each one after.
+#[derive(Default)]
+struct Slot {
+    state: SlotState,
+    /// `None` until the first attempt, and while a handler holds it.
+    coord: Option<Box<Coord>>,
+}
+
 /// Summary handed to the experiment harness after a run.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
@@ -131,9 +149,8 @@ pub struct EngineActor {
     source: Box<dyn InputSource>,
     pub(crate) rng: StdRng,
     pub(crate) txn_seq: u64,
-    pub(crate) txns: HashMap<TxnId, Coord>,
-    /// Inputs waiting for their retry backoff, per slot.
-    retries: HashMap<usize, (TxnInput, u32, SimTime)>,
+    /// The `concurrency` transaction slots, indexed by slot (made at start).
+    slots: Vec<Slot>,
     /// When false, slots finishing their transaction do not pull new input
     /// (used to drain the cluster for invariant checks).
     pub(crate) accepting: bool,
@@ -174,8 +191,7 @@ impl EngineActor {
             source: params.source,
             rng: seeded(seed),
             txn_seq: params.txn_seq_start,
-            txns: HashMap::new(),
-            retries: HashMap::new(),
+            slots: Vec::new(),
             accepting: true,
             metrics: MetricSet::new(),
             monitor: params.monitor,
@@ -216,7 +232,10 @@ impl EngineActor {
 
     /// Number of transactions currently open on this engine (diagnostics).
     pub fn open_txns(&self) -> usize {
-        self.txns.len()
+        self.slots
+            .iter()
+            .filter(|s| matches!(s.state, SlotState::Running(_)))
+            .count()
     }
 
     /// Drain this engine's sampled commits at an epoch boundary.
@@ -333,10 +352,25 @@ impl EngineActor {
     // Slot scheduling (closed-loop driver)
     // ------------------------------------------------------------------
 
-    /// Schedule a fresh transaction on `slot` immediately (commit or final
-    /// abort frees the slot).
-    pub(crate) fn schedule_fresh_start(&mut self, ctx: &mut Ctx<'_, Msg>, slot: usize) {
-        ctx.set_timer(Duration::ZERO, TOKEN_START | slot as u64);
+    /// The slot running attempt `txn`, if that attempt still runs.
+    fn running_slot(&self, txn: TxnId) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.state == SlotState::Running(txn))
+    }
+
+    /// End attempt `txn`: its slot enters `next` and sets its one timer for
+    /// `delay`. Only a running attempt ends, so no slot has two timers.
+    pub(crate) fn end_attempt(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        txn: TxnId,
+        next: SlotState,
+        delay: Duration,
+    ) {
+        let slot = self.running_slot(txn).expect("ending an attempt that runs");
+        self.slots[slot].state = next;
+        ctx.set_timer(delay, slot as u64);
     }
 
     /// Jittered exponential backoff after `attempts` NO_WAIT failures
@@ -349,40 +383,15 @@ impl EngineActor {
         Duration::from_nanos((base as f64 * jitter) as u64)
     }
 
-    /// Schedule a retry of `input` on `slot` after a jittered exponential
-    /// backoff. Returns the backoff chosen (for trace emission).
-    pub(crate) fn schedule_retry(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        slot: usize,
-        input: TxnInput,
-        attempts: u32,
-        first_start: SimTime,
-    ) -> Duration {
-        let backoff = self.backoff_for(attempts);
-        self.retries.insert(slot, (input, attempts, first_start));
-        ctx.set_timer(backoff, TOKEN_RETRY | slot as u64);
-        backoff
-    }
-
-    fn start_fresh(&mut self, ctx: &mut Ctx<'_, Msg>, slot: usize) {
-        if !self.accepting {
-            return;
+    /// Admit an attempt of a `fresh` input, or a retry, on `slot`: decide
+    /// the region split (§3.3 steps 1–2), then drive the first wave.
+    fn start_attempt(&mut self, ctx: &mut Ctx<'_, Msg>, slot: usize, fresh: bool) {
+        let mut coord = self.slots[slot].coord.take().unwrap_or_default();
+        if fresh {
+            coord.input = self.source.next_input(&mut self.rng, ctx.now());
+            coord.attempts = 0;
+            coord.first_start = ctx.now();
         }
-        let input = self.source.next_input(&mut self.rng, ctx.now());
-        self.start_attempt(ctx, slot, input, 0, ctx.now());
-    }
-
-    /// Admit one transaction attempt: decide the region split (§3.3 steps
-    /// 1–2), then drive its first wave.
-    fn start_attempt(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        slot: usize,
-        input: TxnInput,
-        prior_attempts: u32,
-        first_start: SimTime,
-    ) {
         ctx.use_cpu(self.txn_cpu());
         self.txn_seq += 1;
         let txn = TxnId::new(self.node, self.txn_seq);
@@ -392,19 +401,16 @@ impl EngineActor {
                 self.node,
                 EventKind::TxnBegin {
                     txn,
-                    proc: input.proc as u32,
-                    attempt: prior_attempts + 1,
+                    proc: coord.input.proc as u32,
+                    attempt: coord.attempts + 1,
                 },
             );
         }
-        let proc = self.registry.get(input.proc).clone();
-        let exec = ExecState::new(input.params.clone(), proc.num_ops());
-        let split = coordinator::admission_split(self, &proc, &exec);
-        let mut coord = Coord::new(slot, input, proc, exec, split, prior_attempts, first_start);
+        coord.begin(Arc::clone(self.registry.get(coord.input.proc)));
+        coord.split = coordinator::admission_split(self, &coord.proc, &coord.exec);
+        self.slots[slot].state = SlotState::Running(txn);
         coordinator::drive(self, ctx, txn, &mut coord);
-        if coord.phase != Phase::Done {
-            self.txns.insert(txn, coord);
-        }
+        self.slots[slot].coord = Some(coord);
     }
 }
 
@@ -412,8 +418,9 @@ impl Actor<Msg> for EngineActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Stagger slot start-up slightly so engines do not phase-lock.
         for slot in 0..self.config.engine.concurrency {
+            self.slots.push(Slot::default());
             let jitter = (self.node.0 as u64 * 131 + slot as u64 * 57) % 997;
-            ctx.set_timer(Duration::from_nanos(jitter), TOKEN_START | slot as u64);
+            ctx.set_timer(Duration::from_nanos(jitter), slot as u64);
         }
     }
 
@@ -492,14 +499,16 @@ impl Actor<Msg> for EngineActor {
             | Msg::OccValidateResp { .. }) => {
                 let txn = response.txn();
                 // Replication acks for migration transactions belong to the
-                // migration state machine, not a coordinator entry.
+                // migration state machine, not a transaction slot.
                 if self.migrations.contains_key(&txn) {
                     self.on_migration_response(ctx, txn, response);
                     return;
                 }
-                let Some(mut coord) = self.txns.remove(&txn) else {
+                // A late response to a finished attempt matches no slot.
+                let Some(slot) = self.running_slot(txn) else {
                     return;
                 };
+                let mut coord = self.slots[slot].coord.take().expect("running slot");
                 debug_assert!(
                     matches!(response, Msg::ReplicateAck { .. })
                         || matches!(
@@ -542,25 +551,24 @@ impl Actor<Msg> for EngineActor {
                     | Msg::OccDecideAck { .. } => coordinator::on_ack(self, ctx, txn, &mut coord),
                     _ => unreachable!("not a coordinator response"),
                 }
-                if coord.phase != Phase::Done {
-                    self.txns.insert(txn, coord);
-                }
+                self.slots[slot].coord = Some(coord);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        let slot = (token & TOKEN_MASK) as usize;
-        if token & TOKEN_START != 0 {
-            self.start_fresh(ctx, slot);
-        } else if token & TOKEN_RETRY != 0 {
-            if let Some((input, attempts, first_start)) = self.retries.remove(&slot) {
-                self.start_attempt(ctx, slot, input, attempts, first_start);
-            }
-        } else if token & TOKEN_MIG != 0 {
+        if token & TOKEN_MIG != 0 {
             if let Some(job) = self.mig_retries.remove(&(token & TOKEN_MASK)) {
                 self.attempt_migration(ctx, job);
             }
+            return;
+        }
+        let slot = token as usize;
+        match self.slots[slot].state {
+            SlotState::Idle if !self.accepting => {}
+            SlotState::Idle => self.start_attempt(ctx, slot, true),
+            SlotState::Backoff => self.start_attempt(ctx, slot, false),
+            SlotState::Running(txn) => unreachable!("slot {slot} timer fired while {txn} runs"),
         }
     }
 

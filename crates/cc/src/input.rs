@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// One transaction invocation: which registered procedure, with what
 /// parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TxnInput {
     /// Index into the [`ProcRegistry`].
     pub proc: usize,

@@ -36,9 +36,6 @@ pub struct RuntimeTelemetry {
     pub tasks_popped: u64,
     /// Tasks moved between workers by stealing (worker pool).
     pub tasks_stolen: u64,
-    /// Steal operations (each moves one task, so this equals
-    /// `tasks_stolen`).
-    pub steal_batches: u64,
     /// Engine notifications that enqueued a task (IDLE→QUEUED transitions;
     /// notifications during RUNNING convert to DIRTY and are not counted).
     pub notifies: u64,
@@ -76,7 +73,6 @@ impl RuntimeTelemetry {
         self.tasks_injected += other.tasks_injected;
         self.tasks_popped += other.tasks_popped;
         self.tasks_stolen += other.tasks_stolen;
-        self.steal_batches += other.steal_batches;
         self.notifies += other.notifies;
         self.timer_slop.merge(&other.timer_slop);
         self.trace_events_dropped += other.trace_events_dropped;
@@ -90,7 +86,7 @@ impl RuntimeTelemetry {
     /// Names are Prometheus-style suffix-less stems; the report layer adds
     /// the `chiller_runtime_` prefix. The timer-slop histogram is rendered
     /// separately as quantile gauges.
-    pub fn counters(&self) -> [(&'static str, u64); 18] {
+    pub fn counters(&self) -> [(&'static str, u64); 17] {
         [
             ("batches_drained", self.batches_drained),
             ("flush_stalls", self.flush_stalls),
@@ -104,7 +100,6 @@ impl RuntimeTelemetry {
             ("tasks_injected", self.tasks_injected),
             ("tasks_popped", self.tasks_popped),
             ("tasks_stolen", self.tasks_stolen),
-            ("steal_batches", self.steal_batches),
             ("notifies", self.notifies),
             ("wal_records_appended", self.wal_records_appended),
             ("wal_bytes_appended", self.wal_bytes_appended),
@@ -159,20 +154,19 @@ mod tests {
             tasks_injected: 10,
             tasks_popped: 11,
             tasks_stolen: 12,
-            steal_batches: 13,
-            notifies: 14,
+            notifies: 13,
             timer_slop: Histogram::new(),
             // The drop counter is rendered separately (as a degradation
             // flag on the summary line), so it sits outside counters().
             trace_events_dropped: 100,
-            wal_records_appended: 15,
-            wal_bytes_appended: 16,
-            wal_flushes: 17,
-            wal_fsyncs: 18,
+            wal_records_appended: 14,
+            wal_bytes_appended: 15,
+            wal_flushes: 16,
+            wal_fsyncs: 17,
         };
         let names: Vec<&str> = t.counters().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 17);
         let vals: Vec<u64> = t.counters().iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, (1..=18).collect::<Vec<u64>>());
+        assert_eq!(vals, (1..=17).collect::<Vec<u64>>());
     }
 }

@@ -50,7 +50,6 @@ pub struct QueueStats {
     injected: AtomicU64,
     popped: AtomicU64,
     stolen: AtomicU64,
-    steal_batches: AtomicU64,
 }
 
 /// A point-in-time copy of [`QueueStats`].
@@ -64,8 +63,6 @@ pub struct QueueSnapshot {
     pub popped: u64,
     /// Tasks that changed workers via stealing.
     pub stolen: u64,
-    /// Steal operations (each moves one task, so this equals `stolen`).
-    pub steal_batches: u64,
 }
 
 impl QueueStats {
@@ -75,7 +72,6 @@ impl QueueStats {
             injected: self.injected.load(Ordering::Relaxed),
             popped: self.popped.load(Ordering::Relaxed),
             stolen: self.stolen.load(Ordering::Relaxed),
-            steal_batches: self.steal_batches.load(Ordering::Relaxed),
         }
     }
 }
@@ -170,7 +166,6 @@ impl TaskQueue {
                 .expect("task deque lock")
                 .pop_front()
         })?;
-        self.stats.steal_batches.fetch_add(1, Ordering::Relaxed);
         self.stats.stolen.fetch_add(1, Ordering::Relaxed);
         Some(t)
     }
@@ -415,7 +410,7 @@ mod tests {
         assert_eq!(q.pop(1), Some(4));
         assert_eq!(q.pop(0), None);
         assert_eq!(q.pop(1), None);
-        assert_eq!(q.stats().steal_batches, 2);
+        assert_eq!(q.stats().stolen, 2);
     }
 
     #[test]
@@ -569,7 +564,6 @@ mod tests {
         assert_eq!(s.injected, 1);
         assert_eq!(s.popped, 2);
         assert_eq!(s.stolen, 1);
-        assert_eq!(s.steal_batches, 1);
     }
 
     #[test]

@@ -737,7 +737,6 @@ impl<M: Send, A: Actor<M> + Send> Runtime<M, A> for AsyncRuntime<M, A> {
         tel.tasks_injected = q.injected;
         tel.tasks_popped = q.popped;
         tel.tasks_stolen = q.stolen;
-        tel.steal_batches = q.steal_batches;
         tel.notifies = self.shared.notifies.load(Ordering::Relaxed);
         tel.zero_progress_turns = self.shared.zero_progress_turns.load(Ordering::Relaxed);
         tel.lost_wakeups_avoided = self.shared.lost_wakeups_avoided.load(Ordering::Relaxed);

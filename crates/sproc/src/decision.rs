@@ -32,7 +32,7 @@ pub enum GuardSite {
 }
 
 /// Result of the region decision for one transaction instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionSplit {
     /// `None` ⇒ run as a normal (single-region, 2PC) transaction.
     pub inner_host: Option<PartitionId>,

@@ -23,6 +23,15 @@ impl ExecState {
         }
     }
 
+    /// Start over with `params` and `num_ops` empty output slots, keeping
+    /// both vectors' capacity.
+    pub fn reset(&mut self, params: &[Value], num_ops: usize) {
+        self.params.clear();
+        self.params.extend_from_slice(params);
+        self.outputs.clear();
+        self.outputs.resize(num_ops, None);
+    }
+
     pub fn params(&self) -> &[Value] {
         &self.params
     }
@@ -100,6 +109,16 @@ mod tests {
     fn missing_output_panics_on_req() {
         let st = ExecState::new(vec![], 1);
         st.output_req(OpId(0));
+    }
+
+    #[test]
+    fn reset_matches_new() {
+        let mut st = ExecState::new(vec![Value::I64(1)], 3);
+        st.set_output(OpId(2), vec![Value::I64(9)]);
+        st.reset(&[Value::I64(7), Value::I64(8)], 2);
+        assert_eq!(st.params(), &[Value::I64(7), Value::I64(8)]);
+        assert_eq!(st.num_ops(), 2);
+        assert!(st.output(OpId(0)).is_none() && st.output(OpId(1)).is_none());
     }
 
     #[test]

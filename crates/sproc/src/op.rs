@@ -172,8 +172,9 @@ impl fmt::Debug for Guard {
 }
 
 /// A registered stored procedure: operations plus precomputed static
-/// analysis ([`crate::graph::DepGraph`]).
-#[derive(Clone)]
+/// analysis ([`crate::graph::DepGraph`]). The default is the empty
+/// procedure.
+#[derive(Clone, Default)]
 pub struct Procedure {
     pub name: &'static str,
     pub ops: Vec<Op>,

@@ -111,7 +111,8 @@ fn identical_seeds_yield_byte_identical_engine_reports() {
 /// Build a transfer cluster whose hot set jumps from accounts 0..8 to
 /// 200..208 at 3ms, with the online-adaptation loop on (1 ms epochs, every
 /// `sample_every`-th commit sampled): by end of run the planner must have
-/// detected the new hot set and migrated records.
+/// detected the new hot set and migrated records. The serializability
+/// checker records the whole run (recording does not perturb it).
 fn adaptive_shifting_cluster(seed: u64, concurrency: usize, sample_every: u64) -> Cluster {
     let cfg = contended_config();
     let adaptive = AdaptiveConfig {
@@ -127,6 +128,7 @@ fn adaptive_shifting_cluster(seed: u64, concurrency: usize, sample_every: u64) -
         sim_config(seed, concurrency),
     );
     b.adaptive(adaptive)
+        .check(CheckMode::Full)
         .source_per_node(move |_| Box::new(shifting_source(&cfg, SimTime::from_millis(3), 200)));
     b.build().unwrap()
 }
@@ -150,6 +152,9 @@ fn adaptive_migrations_preserve_balance_locks_and_replicas() {
     //    and out of).
     let cfg = contended_config();
     assert_serializability_invariants(&cluster, &cfg, "adaptive migrations");
+    // The checker certifies the history across live migrations, whose
+    // version carry-over the dependency edges rely on.
+    cluster.expect_serializable("adaptive migrations");
 
     // 2. No lost or duplicated records: every account exists exactly once
     //    across the primaries.

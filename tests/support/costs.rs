@@ -51,72 +51,72 @@ const TABLE: &[(&str, Bound)] = &[
 
     ("transfer.chiller.hot30.commits",             Pinned(20_490.0)),
     ("transfer.chiller.hot30.aborts",              Pinned(136.0)),
-    ("transfer.chiller.hot30.allocs_per_commit",   Budget(29.49)),
-    ("transfer.chiller.hot30.bytes_per_commit",    Budget(1_738.56)),
+    ("transfer.chiller.hot30.allocs_per_commit",   Budget(24.76)),
+    ("transfer.chiller.hot30.bytes_per_commit",    Budget(1_311.58)),
     ("transfer.chiller.hot30.msgs_per_commit",     Budget(9.10)),
     ("transfer.chiller.hot30.events_per_commit",   Budget(12.24)),
     ("transfer.chiller.hot0.commits",              Pinned(26_734.0)),
     ("transfer.chiller.hot0.aborts",               Pinned(521.0)),
-    ("transfer.chiller.hot0.allocs_per_commit",    Budget(31.60)),
-    ("transfer.chiller.hot0.bytes_per_commit",     Budget(1_865.27)),
+    ("transfer.chiller.hot0.allocs_per_commit",    Budget(26.49)),
+    ("transfer.chiller.hot0.bytes_per_commit",     Budget(1_386.23)),
     ("transfer.chiller.hot0.msgs_per_commit",      Budget(11.34)),
     ("transfer.chiller.hot0.events_per_commit",    Budget(15.39)),
     ("transfer.2pl.hot30.commits",                 Pinned(17_330.0)),
     ("transfer.2pl.hot30.aborts",                  Pinned(6_892.0)),
-    ("transfer.2pl.hot30.allocs_per_commit",       Budget(31.60)),
-    ("transfer.2pl.hot30.bytes_per_commit",        Budget(2_060.62)),
+    ("transfer.2pl.hot30.allocs_per_commit",       Budget(24.61)),
+    ("transfer.2pl.hot30.bytes_per_commit",        Budget(1_405.97)),
     ("transfer.2pl.hot30.msgs_per_commit",         Budget(10.50)),
     ("transfer.2pl.hot30.events_per_commit",       Budget(13.41)),
     ("transfer.2pl.hot0.commits",                  Pinned(26_734.0)),
     ("transfer.2pl.hot0.aborts",                   Pinned(521.0)),
-    ("transfer.2pl.hot0.allocs_per_commit",        Budget(29.56)),
-    ("transfer.2pl.hot0.bytes_per_commit",         Budget(1_846.92)),
+    ("transfer.2pl.hot0.allocs_per_commit",        Budget(24.45)),
+    ("transfer.2pl.hot0.bytes_per_commit",         Budget(1_367.88)),
     ("transfer.2pl.hot0.msgs_per_commit",          Budget(11.34)),
     ("transfer.2pl.hot0.events_per_commit",        Budget(15.39)),
     ("transfer.occ.hot30.commits",                 Pinned(11_216.0)),
     ("transfer.occ.hot30.aborts",                  Pinned(5_627.0)),
-    ("transfer.occ.hot30.allocs_per_commit",       Budget(42.84)),
-    ("transfer.occ.hot30.bytes_per_commit",        Budget(2_793.44)),
+    ("transfer.occ.hot30.allocs_per_commit",       Budget(33.82)),
+    ("transfer.occ.hot30.bytes_per_commit",        Budget(1_962.38)),
     ("transfer.occ.hot30.msgs_per_commit",         Budget(14.94)),
     ("transfer.occ.hot30.events_per_commit",       Budget(17.67)),
     ("transfer.occ.hot0.commits",                  Pinned(23_546.0)),
     ("transfer.occ.hot0.aborts",                   Pinned(626.0)),
-    ("transfer.occ.hot0.allocs_per_commit",        Budget(35.71)),
-    ("transfer.occ.hot0.bytes_per_commit",         Budget(2_125.61)),
+    ("transfer.occ.hot0.allocs_per_commit",        Budget(29.52)),
+    ("transfer.occ.hot0.bytes_per_commit",         Budget(1_622.83)),
     ("transfer.occ.hot0.msgs_per_commit",          Budget(15.24)),
     ("transfer.occ.hot0.events_per_commit",        Budget(19.82)),
 
     ("tpcc.chiller.commits",                       Pinned(14_961.0)),
     ("tpcc.chiller.aborts",                        Pinned(88.0)),
-    ("tpcc.chiller.allocs_per_commit",             Budget(79.23)),
-    ("tpcc.chiller.bytes_per_commit",              Budget(15_482.42)),
+    ("tpcc.chiller.allocs_per_commit",             Budget(74.58)),
+    ("tpcc.chiller.bytes_per_commit",              Budget(13_527.91)),
     ("tpcc.chiller.msgs_per_commit",               Budget(4.64)),
     ("tpcc.chiller.events_per_commit",             Budget(9.07)),
-    ("tpcc.chiller.retained_bytes_per_commit",     Budget(3_329.78)),
+    ("tpcc.chiller.retained_bytes_per_commit",     Budget(3_328.69)),
     ("smallbank.chiller.commits",                  Pinned(19_922.0)),
     ("smallbank.chiller.aborts",                   Pinned(154.0)),
-    ("smallbank.chiller.allocs_per_commit",        Budget(31.69)),
-    ("smallbank.chiller.bytes_per_commit",         Budget(1_843.65)),
+    ("smallbank.chiller.allocs_per_commit",        Budget(25.19)),
+    ("smallbank.chiller.bytes_per_commit",         Budget(1_298.25)),
     ("smallbank.chiller.msgs_per_commit",          Budget(7.06)),
     ("smallbank.chiller.events_per_commit",        Budget(9.75)),
 
     ("recovery.short.commits",                     Pinned(14_001.0)),
     ("recovery.short.log_bytes_scanned",           Budget(2_698_159.0)),
-    ("recovery.short.rebuild_peak_bytes",          Budget(701_779.0)),
+    ("recovery.short.rebuild_peak_bytes",          Budget(701_459.0)),
     ("recovery.short.open_txns_hwm",               Budget(18.0)),
     ("recovery.short.in_doubt",                    Budget(0.0)),
     ("recovery.short.wal_records_per_commit",      Budget(3.95)),
     ("recovery.short.wal_bytes_per_commit",        Budget(192.63)),
     ("recovery.long.commits",                      Pinned(54_485.0)),
     ("recovery.long.log_bytes_scanned",            Budget(10_501_782.0)),
-    ("recovery.long.rebuild_peak_bytes",           Budget(701_774.0)),
+    ("recovery.long.rebuild_peak_bytes",           Budget(701_454.0)),
     ("recovery.long.open_txns_hwm",                Budget(18.0)),
     ("recovery.long.in_doubt",                     Budget(0.0)),
     ("recovery.long.wal_records_per_commit",       Budget(3.98)),
     ("recovery.long.wal_bytes_per_commit",         Budget(192.72)),
     ("recovery.midrun.commits",                    Pinned(54_485.0)),
     ("recovery.midrun.log_bytes_scanned",          Budget(10_500_341.0)),
-    ("recovery.midrun.rebuild_peak_bytes",         Budget(702_173.0)),
+    ("recovery.midrun.rebuild_peak_bytes",         Budget(701_853.0)),
     ("recovery.midrun.open_txns_hwm",              Budget(18.0)),
     ("recovery.midrun.in_doubt",                   Budget(16.0)),
     ("recovery.midrun.wal_records_per_commit",     Budget(3.98)),
